@@ -29,8 +29,6 @@ struct EngineOptions {
   /// intersection when the AGM/max-degree bound wins. Requires
   /// reorder_joins and usable statistics.
   bool enable_multiway = true;
-  /// Optimizer rule: estimated-cost-driven HashJoin build-side swap.
-  bool choose_build_side = true;
   /// Per-column statistics in the cardinality estimator; off falls back
   /// to the seed's constant selectivities (the ablation mode).
   bool use_column_stats = true;
@@ -53,9 +51,8 @@ struct EngineOptions {
     f |= static_cast<uint64_t>(enable_pushdown) << 1;
     f |= static_cast<uint64_t>(reorder_joins) << 2;
     f |= static_cast<uint64_t>(enable_multiway) << 3;
-    f |= static_cast<uint64_t>(choose_build_side) << 4;
-    f |= static_cast<uint64_t>(use_column_stats) << 5;
-    f |= static_cast<uint64_t>(enable_vectorized_exprs) << 6;
+    f |= static_cast<uint64_t>(use_column_stats) << 4;
+    f |= static_cast<uint64_t>(enable_vectorized_exprs) << 5;
     // Mix the two size knobs in with distinct odd multipliers (the knob
     // space is tiny; this only has to separate, not avalanche).
     f ^= static_cast<uint64_t>(parallelism) * 0x9e3779b97f4a7c15ull;
@@ -68,7 +65,6 @@ struct EngineOptions {
            a.enable_pushdown == b.enable_pushdown &&
            a.reorder_joins == b.reorder_joins &&
            a.enable_multiway == b.enable_multiway &&
-           a.choose_build_side == b.choose_build_side &&
            a.use_column_stats == b.use_column_stats &&
            a.enable_vectorized_exprs == b.enable_vectorized_exprs &&
            a.parallelism == b.parallelism && a.morsel_size == b.morsel_size;

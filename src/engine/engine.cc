@@ -732,7 +732,7 @@ Result<QueryResult> QueryEngine::FinishBasic(const BasicQuery& basic,
       std::vector<std::vector<Datum>> vec_vals(exprs.size());
       std::vector<std::vector<uint8_t>> vec_fb(exprs.size());
       std::vector<uint8_t> vectorized(exprs.size(), 0);
-      if (options_.enable_vectorized_exprs && bindings.NumRows() > 0) {
+      if (scope->options.enable_vectorized_exprs && bindings.NumRows() > 0) {
         std::vector<size_t> all(bindings.NumRows());
         std::iota(all.begin(), all.end(), size_t{0});
         for (size_t e = 0; e < exprs.size(); ++e) {

@@ -13,10 +13,8 @@
 // mutation, each query pinned to a consistent (graph, snapshot, stats)
 // view even under concurrent re-registration:
 //
-//   QuerySession session = engine.CreateSession();
-//   std::thread worker([&] {
-//     auto r = session.Execute("SELECT n.firstName MATCH (n:Person)");
-//   });
+//   QuerySession session = engine.CreateSession();  // one per thread
+//   auto r = session.Execute("SELECT n.firstName MATCH (n:Person)");
 //
 // Repeated queries pay near-zero planning cost: Execute-by-text consults
 // a bounded LRU plan cache keyed on (normalized text, default graph,
@@ -107,8 +105,6 @@ class QueryEngine {
   /// Cycle → MultiwayExpand rewrite (worst-case-optimal multiway joins);
   /// off keeps binary join trees — the bench_wcoj ablation mode.
   void set_enable_multiway(bool on) { options_.enable_multiway = on; }
-  /// Estimated-cost-driven HashJoin build-side swap.
-  void set_choose_build_side(bool on) { options_.choose_build_side = on; }
   /// Per-column statistics in the cardinality estimator (graph/stats.h);
   /// off falls back to the seed's constant selectivities (the
   /// stats-ablation bench mode).

@@ -1,11 +1,11 @@
 #include "eval/binding_ops.h"
 
 #include <algorithm>
-#include <atomic>
 #include <optional>
-#include <thread>
 #include <unordered_map>
 #include <utility>
+
+#include "common/parallel.h"
 
 namespace gcore {
 
@@ -399,7 +399,6 @@ BindingTable JoinParallelTracked(const BindingTable& a, const BindingTable& b,
 
   const size_t num_morsels = (a.NumRows() + morsel - 1) / morsel;
   std::vector<MorselJoinOut> morsels(num_morsels);
-  std::atomic<size_t> next_morsel{0};
 
   auto probe_morsel = [&](size_t m) {
     MorselJoinOut& local = morsels[m];
@@ -427,19 +426,7 @@ BindingTable JoinParallelTracked(const BindingTable& a, const BindingTable& b,
     }
   };
 
-  auto worker = [&]() {
-    while (true) {
-      const size_t m = next_morsel.fetch_add(1);
-      if (m >= num_morsels) return;
-      probe_morsel(m);
-    }
-  };
-  std::vector<std::thread> pool;
-  const size_t threads = std::min(parallelism, num_morsels);
-  pool.reserve(threads);
-  for (size_t t = 0; t + 1 < threads; ++t) pool.emplace_back(worker);
-  worker();  // the calling thread probes too
-  for (auto& t : pool) t.join();
+  ParallelFor(parallelism, num_morsels, probe_morsel);
 
   // Ordered merge: morsel-local sets concatenate in probe order through
   // a global seen-set keyed by the worker-computed hashes (cross-morsel

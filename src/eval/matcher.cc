@@ -5,13 +5,13 @@
 #include <numeric>
 #include <set>
 
+#include "common/parallel.h"
 #include "engine/tabular.h"
 #include "eval/binding_ops.h"
 #include "graph/stats.h"
 #include "paths/all_paths.h"
 #include "paths/batched_bfs.h"
 #include "paths/delta_stepping.h"
-#include "paths/frontier.h"
 #include "paths/product_bfs.h"
 #include "paths/rpq.h"
 #include "plan/executor.h"

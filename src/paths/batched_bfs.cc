@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 
+#include "common/parallel.h"
 #include "graph/snapshot.h"
 #include "paths/frontier.h"
 

@@ -5,7 +5,7 @@
 #include <map>
 #include <queue>
 
-#include "paths/frontier.h"
+#include "common/parallel.h"
 
 namespace gcore {
 

@@ -1,7 +1,7 @@
 // Shared infrastructure of the parallel path kernels.
 //
 // The batch-oriented engines (delta_stepping.h, batched_bfs.h, the
-// bidirectional product-BFS) share three ingredients:
+// bidirectional product-BFS) share two ingredients:
 //
 //   * CompiledNfa — the regex automaton with every transition label
 //     pre-resolved against a GraphSnapshot's interned label ids, so the
@@ -9,11 +9,6 @@
 //     indices instead of a std::map walk plus string compares. Without a
 //     snapshot (raw-AdjacencyIndex callers: tests, benches) admission
 //     falls back to the PPG label sets with identical semantics.
-//
-//   * ParallelFor — a deterministic fan-out helper: fixed contiguous
-//     slicing over an index range onto at most `parallelism` worker
-//     threads. Callers keep per-index output slots, so results are a
-//     pure function of the input regardless of thread schedule.
 //
 //   * ViewBackIndex — a lazily built dst-keyed index over PATH-view
 //     segments, the backward analogue of PathViewRelation::SegmentsFrom
@@ -28,7 +23,6 @@
 #define GCORE_PATHS_FRONTIER_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -38,17 +32,6 @@
 #include "paths/path_view.h"
 
 namespace gcore {
-
-/// Resolves a requested degree: 0 means one per hardware thread; the
-/// result is always >= 1.
-size_t ResolveParallelism(size_t requested);
-
-/// Runs fn(i) for i in [0, n) across at most `parallelism` threads.
-/// Work is claimed via an atomic counter, but each index owns its own
-/// output slot, so results never depend on the schedule. fn must not
-/// throw; report errors through per-index slots.
-void ParallelFor(size_t parallelism, size_t n,
-                 const std::function<void(size_t)>& fn);
 
 /// One NFA transition with its label resolved against a snapshot.
 struct CompiledTransition {

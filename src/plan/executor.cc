@@ -1,26 +1,17 @@
 #include "plan/executor.h"
 
 #include <chrono>
-#include <condition_variable>
 #include <deque>
 #include <functional>
-#include <map>
-#include <mutex>
-#include <thread>
 #include <utility>
 #include <vector>
 
+#include "common/parallel.h"
 #include "eval/binding_ops.h"
 #include "eval/matcher.h"
 #include "plan/wcoj.h"
 
 namespace gcore {
-
-size_t ExecContext::Degree() const {
-  if (parallelism > 0) return parallelism;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
-}
 
 void ExecStats::Record(const PlanNode* node, size_t rows) {
   std::lock_guard<std::mutex> lk(mu_);
@@ -171,22 +162,17 @@ struct Stage {
 /// Morsel-parallel pipeline segment: pulls chunks from `child`, re-slices
 /// them into morsels, applies the fused stages to each morsel and emits
 /// results in input order (deterministic at every parallelism degree).
-/// With parallelism 1 — or when any stage's expressions could re-enter
-/// the runtime (EXISTS, pattern predicates) — everything runs serially
-/// on the calling thread, which is exactly the pre-morsel behavior.
+/// Serial and parallel execution are one loop: each refill pulls a batch
+/// of up to kMorselsPerWorker morsels per worker and fans it out with
+/// ParallelFor, one result slot per morsel. A one-morsel batch — or a
+/// degree of 1, forced when any stage's expressions could re-enter the
+/// runtime (EXISTS, pattern predicates) — never leaves the calling
+/// thread. Errors surface in input order, so a failing pipeline returns
+/// the error of its lowest-numbered failing morsel, as a serial run does.
 class PipelineOp : public PhysicalOp {
  public:
   PipelineOp(OpPtr child, ExecContext exec)
       : child_(std::move(child)), exec_(exec) {}
-
-  ~PipelineOp() override {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      abort_ = true;
-    }
-    cv_.notify_all();
-    for (auto& w : workers_) w.join();
-  }
 
   void AddStage(Stage stage) { stages_.push_back(std::move(stage)); }
 
@@ -196,14 +182,52 @@ class PipelineOp : public PhysicalOp {
       for (auto& stage : stages_) {
         if (stage.prepare) GCORE_RETURN_NOT_OK(stage.prepare());
       }
-      bool safe = !stages_.empty();
+      bool safe = true;
       for (const auto& stage : stages_) safe = safe && stage.thread_safe;
-      if (safe && exec_.Degree() > 1) StartWorkers();
+      degree_ = safe ? ResolveParallelism(exec_.parallelism) : 1;
     }
-    return workers_.empty() ? SerialNext() : ParallelNext();
+    if (emitted_ == results_.size()) RunBatch();
+    if (results_.empty()) return Exhausted();
+    return AsChunk(std::move(results_[emitted_++]));
   }
 
  private:
+  /// Morsels pulled per worker per batch: enough to amortize one
+  /// ParallelFor fan-out, small enough to keep the batch's results
+  /// cache-resident.
+  static constexpr size_t kMorselsPerWorker = 16;
+
+  /// Refills results_ with the next batch's stage outputs (empty when the
+  /// child is exhausted). A child error ends the batch and takes the slot
+  /// after its last morsel, which is where a serial run would meet it.
+  void RunBatch() {
+    results_.clear();
+    emitted_ = 0;
+    std::vector<BindingTable> batch;
+    Status pull_error = Status::OK();
+    const size_t limit = degree_ * kMorselsPerWorker;
+    while (batch.size() < limit) {
+      if (pending_.empty()) {
+        if (source_done_) break;
+        auto chunk = child_->Next();
+        if (!chunk.ok() || !chunk->has_value()) {
+          if (!chunk.ok()) pull_error = chunk.status();
+          source_done_ = true;
+          break;
+        }
+        SplitIntoMorsels(std::move(**chunk), exec_.MorselRows(), &pending_);
+        continue;
+      }
+      batch.push_back(std::move(pending_.front()));
+      pending_.pop_front();
+    }
+    results_.assign(batch.size(), BindingTable());
+    ParallelFor(degree_, batch.size(), [&](size_t i) {
+      results_[i] = ApplyStages(std::move(batch[i]));
+    });
+    if (!pull_error.ok()) results_.push_back(pull_error);
+  }
+
   Result<BindingTable> ApplyStages(BindingTable morsel) {
     for (const auto& stage : stages_) {
       GCORE_ASSIGN_OR_RETURN(morsel, stage.fn(std::move(morsel)));
@@ -211,105 +235,15 @@ class PipelineOp : public PhysicalOp {
     return morsel;
   }
 
-  Result<Chunk> SerialNext() {
-    while (true) {
-      if (!pending_.empty()) {
-        BindingTable morsel = std::move(pending_.front());
-        pending_.pop_front();
-        return AsChunk(ApplyStages(std::move(morsel)));
-      }
-      GCORE_ASSIGN_OR_RETURN(Chunk chunk, child_->Next());
-      if (!chunk.has_value()) return Exhausted();
-      SplitIntoMorsels(std::move(*chunk), exec_.MorselRows(), &pending_);
-    }
-  }
-
-  void StartWorkers() {
-    // Loop over a local bound: a fast worker may drain the whole source
-    // and decrement active_workers_ before the next thread is spawned.
-    const size_t degree = exec_.Degree();
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      active_workers_ = degree;
-    }
-    workers_.reserve(degree);
-    for (size_t t = 0; t < degree; ++t) {
-      workers_.emplace_back([this] { WorkerLoop(); });
-    }
-  }
-
-  /// Workers pull the (serial) child under the pipeline mutex, transform
-  /// morsels unlocked, and deposit results keyed by sequence number.
-  void WorkerLoop() {
-    std::unique_lock<std::mutex> lk(mu_);
-    while (true) {
-      if (abort_) break;
-      if (pending_.empty()) {
-        if (source_done_) break;
-        auto chunk = child_->Next();
-        if (!chunk.ok()) {
-          error_ = chunk.status();
-          abort_ = true;
-          break;
-        }
-        if (!chunk->has_value()) {
-          source_done_ = true;
-          break;
-        }
-        SplitIntoMorsels(std::move(**chunk), exec_.MorselRows(), &pending_);
-        continue;
-      }
-      BindingTable morsel = std::move(pending_.front());
-      pending_.pop_front();
-      const size_t seq = next_seq_++;
-      lk.unlock();
-      auto result = ApplyStages(std::move(morsel));
-      lk.lock();
-      if (!result.ok()) {
-        if (error_.ok()) error_ = result.status();
-        abort_ = true;
-      } else {
-        done_.emplace(seq, std::move(*result));
-      }
-      cv_.notify_all();
-    }
-    --active_workers_;
-    cv_.notify_all();
-  }
-
-  Result<Chunk> ParallelNext() {
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_.wait(lk, [this] {
-      return abort_ || done_.count(emit_seq_) > 0 ||
-             (active_workers_ == 0 && emit_seq_ >= next_seq_);
-    });
-    if (abort_) return error_.ok() ? Status::EvaluationError(
-                                         "pipeline aborted")
-                                   : error_;
-    auto it = done_.find(emit_seq_);
-    if (it == done_.end()) return Exhausted();
-    BindingTable chunk = std::move(it->second);
-    done_.erase(it);
-    ++emit_seq_;
-    return Chunk(std::move(chunk));
-  }
-
   OpPtr child_;
   ExecContext exec_;
   std::vector<Stage> stages_;
   bool started_ = false;
-
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<BindingTable> pending_;
-  std::map<size_t, BindingTable> done_;
-  std::vector<std::thread> workers_;
-  size_t active_workers_ = 0;
-  size_t next_seq_ = 0;
-  size_t emit_seq_ = 0;
+  size_t degree_ = 1;
   bool source_done_ = false;
-  bool abort_ = false;
-  Status error_ = Status::OK();
+  std::deque<BindingTable> pending_;
+  std::vector<Result<BindingTable>> results_;
+  size_t emitted_ = 0;
 };
 
 /// NodeScan: all admitted nodes of the operator's graph, emitted as
@@ -477,7 +411,7 @@ class HashJoinOp : public PhysicalOp {
     // Orientation is fixed at *plan* time: provenance and schema always
     // follow the left side (canonical order), and a swap_build plan
     // builds over the left when statistics predicted the right side much
-    // larger — the choose_build_side rule. Never a runtime size check,
+    // larger — the planner's build-side rule. Never a runtime size check,
     // so execution stays deterministic for a given plan. The streamed
     // result is pinned byte-identical to draining both sides and calling
     // TableJoinParallel / TableJoinSwapBuild.
@@ -536,8 +470,10 @@ class LeftOuterJoinOp : public PhysicalOp {
     GCORE_ASSIGN_OR_RETURN(BindingTable left, Drain(left_.get()));
     GCORE_ASSIGN_OR_RETURN(BindingTable right, Drain(right_.get()));
     const auto t0 = std::chrono::steady_clock::now();
-    BindingTable joined = TableLeftOuterJoinParallel(
-        left, right, exec_.Degree(), exec_.MorselRows());
+    BindingTable joined =
+        TableLeftOuterJoinParallel(left, right,
+                                   ResolveParallelism(exec_.parallelism),
+                                   exec_.MorselRows());
     if (stats_ != nullptr) {
       stats_->Record(plan_, joined.NumRows());
       stats_->RecordTime(plan_, MsSince(t0));
@@ -606,7 +542,7 @@ Executor::Executor(Matcher* runtime, ExecContext exec, ExecStats* stats)
 namespace {
 
 /// Appends a stage to `child` if it is already a pipeline (stage fusion:
-/// one worker pool runs scan filters, expansions and projections of a
+/// one fan-out runs scan filters, expansions and projections of a
 /// segment back-to-back per morsel); otherwise opens a new pipeline.
 OpPtr FuseStage(OpPtr child, Stage stage, ExecContext exec) {
   auto* pipeline = dynamic_cast<PipelineOp*>(child.get());

@@ -5,12 +5,15 @@
 // exposes Next() returning the next chunk of bindings (nullopt when
 // exhausted). Scans emit fixed-size morsels; the stateless operators
 // between pipeline breakers (pushed filters, edge expansion, residual
-// WHERE, projection) are fused into per-morsel stages that a small
-// worker pool runs concurrently, reassembling results in input order so
-// execution is deterministic at every parallelism degree. Joins and the
-// final Project are pipeline breakers (they drain their inputs), as in
-// any hash-based executor; HashJoin uses the hash-partitioned parallel
-// join with fused duplicate elimination (eval/binding_ops.h).
+// WHERE, projection) are fused into per-morsel stages. A pipeline pulls
+// its input in batches of morsels and fans each batch out with
+// ParallelFor (common/parallel.h) into one result slot per morsel, then
+// emits the slots in input order, so execution is deterministic at every
+// parallelism degree and a single-morsel input stays on the calling
+// thread. Joins and the final Project are pipeline breakers (they drain
+// their inputs), as in any hash-based executor; HashJoin uses the
+// hash-partitioned parallel join with fused duplicate elimination
+// (eval/binding_ops.h).
 #ifndef GCORE_PLAN_EXECUTOR_H_
 #define GCORE_PLAN_EXECUTOR_H_
 
@@ -76,8 +79,6 @@ struct ExecContext {
 
   static constexpr size_t kDefaultMorselRows = 1024;
 
-  /// Resolved worker count (>= 1).
-  size_t Degree() const;
   /// Resolved morsel size (>= 1).
   size_t MorselRows() const {
     return morsel_size == 0 ? kDefaultMorselRows : morsel_size;

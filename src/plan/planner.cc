@@ -7,9 +7,9 @@
 #include <numeric>
 #include <set>
 
+#include "common/parallel.h"
 #include "eval/matcher.h"
 #include "plan/cost.h"
-#include "plan/executor.h"
 
 namespace gcore {
 
@@ -459,8 +459,7 @@ PlanPtr Planner::EnumerateJoins(std::vector<JoinUnit> units) {
     // right (fresh) side dwarfs the accumulated left, building over the
     // left is cheaper. The executor re-merges canonically, so this is
     // invisible to schema, provenance and the result set.
-    if (options_.choose_build_side && left_est >= 0.0 &&
-        right_est > kSwapBuildFactor * left_est) {
+    if (left_est >= 0.0 && right_est > kSwapBuildFactor * left_est) {
       join->swap_build = true;
     }
     join->children.push_back(std::move(left));
@@ -765,11 +764,7 @@ Result<PlanPtr> Planner::PlanMatch(const MatchClause& match) {
   }
 
   auto project = MakePlan(PlanOp::kProject);
-  {
-    ExecContext exec;
-    exec.parallelism = options_.parallelism;
-    project->parallelism = exec.Degree();
-  }
+  project->parallelism = ResolveParallelism(options_.parallelism);
   for (const auto& pattern : match.patterns) {
     CollectOutputColumns(pattern, &project->output);
   }

@@ -1,7 +1,7 @@
 // The logical planner: lowers a MatchClause AST into the plan IR of
 // plan/plan.h and applies the rule-based optimizer.
 //
-// Rules (each gated by a PlannerOptions flag):
+// Rules (each but the build-side choice gated by a PlannerOptions flag):
 //   * Predicate pushdown — single-variable WHERE conjuncts are attached
 //     to the scan/expand operator that binds their variable, so they run
 //     as soon as the variable exists (generalizes the matcher's old
@@ -16,9 +16,10 @@
 //     whose AGM/max-degree bound undercuts the binary alternative, the
 //     cycle collapses into one MultiwayExpand node evaluated by
 //     worst-case-optimal multiway intersection (plan/wcoj.h).
-//   * Build-side choice — a HashJoin whose right side is predicted much
-//     larger than the accumulated left gets swap_build: the executor
-//     builds over the left and re-merges in canonical column order.
+//   * Build-side choice (always on) — a HashJoin whose right side is
+//     predicted much larger than the accumulated left gets swap_build:
+//     the executor builds over the left and re-merges in canonical column
+//     order.
 //
 // The full WHERE is kept as a residual Filter above the joins (re-checking
 // pushed conjuncts is harmless and keeps the filter semantics of Appendix
@@ -48,10 +49,9 @@ struct MatcherContext;
 /// (common/options.h): enable_pushdown gates the pushdown rewrite (main
 /// WHERE and per OPTIONAL block), reorder_joins the subset-DP join
 /// enumeration, enable_multiway the cycle → MultiwayExpand rewrite
-/// (priced, never unconditional), choose_build_side the HashJoin
-/// build-side swap, use_column_stats the statistics-backed estimator
-/// (off = seed constants, the ablation mode), and parallelism is
-/// annotated on the plan root for EXPLAIN. use_planner/morsel_size ride
+/// (priced, never unconditional), use_column_stats the statistics-backed
+/// estimator (off = seed constants, the ablation mode), and parallelism
+/// is annotated on the plan root for EXPLAIN. use_planner/morsel_size ride
 /// along unused — the struct exists so MatcherContext → PlannerOptions
 /// is one slice assignment.
 struct PlannerOptions : EngineOptions {

@@ -99,6 +99,57 @@ TEST_F(ServingTest, SessionsFreezeKnobsIndependently) {
   EXPECT_EQ(a->ToString(), b->ToString());
 }
 
+// A session's SELECT tail reads the session's frozen knobs, never the
+// engine's: toggling the engine-level vectorization setter while sessions
+// (one with the knob on, one with it off) run a computed projection must
+// neither change their results nor race (the TSan job checks the latter).
+TEST_F(ServingTest, SelectProjectionReadsSessionKnobsNotEngine) {
+  constexpr const char* kQuery =
+      "SELECT n.firstName AS name, "
+      "n.firstName = 'John' OR n.employer = 'Acme' AS flag "
+      "MATCH (n:Person) ORDER BY name";
+  QueryEngine engine(&catalog);
+  auto reference = engine.Execute(kQuery);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  const std::string expected = reference->ToString();
+
+  EngineOptions scalar;
+  scalar.enable_vectorized_exprs = false;
+  std::vector<QuerySession> sessions = {engine.CreateSession(),
+                                        engine.CreateSession(scalar)};
+  std::atomic<bool> stop{false};
+  std::thread toggler([&] {
+    bool on = false;
+    while (!stop.load()) {
+      engine.set_enable_vectorized_exprs(on);
+      on = !on;
+    }
+  });
+  constexpr int kIters = 32;
+  std::atomic<int> failures{0};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> runners;
+  for (QuerySession& session : sessions) {
+    runners.emplace_back([&session, &expected, &failures, &mismatches] {
+      for (int i = 0; i < kIters; ++i) {
+        auto r = session.Execute(kQuery);
+        if (!r.ok()) {
+          ++failures;
+        } else if (r->ToString() != expected) {
+          ++mismatches;
+        }
+      }
+    });
+  }
+  for (auto& runner : runners) runner.join();
+  stop.store(true);
+  toggler.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_TRUE(sessions[0].options().enable_vectorized_exprs);
+  EXPECT_FALSE(sessions[1].options().enable_vectorized_exprs);
+}
+
 TEST_F(ServingTest, WarmSecondExecutionIsOneHitZeroPlans) {
   QueryEngine engine(&catalog);
   ASSERT_TRUE(engine.Execute(kQueryMix[0]).ok());

@@ -152,6 +152,41 @@ TEST_F(ParallelExecution, ReentrantPredicatesStaySerialButCorrect) {
       "AND (n)-[:isLocatedIn]->()<-[:isLocatedIn]-(m)");
 }
 
+// A fused stage failing on several morsels: every degree returns the
+// error of the lowest-numbered failing morsel, which is what a serial run
+// meets first. A last name is no boolean, and the error message names
+// it, so each failing morsel reports a different error; the first query
+// lets morsel 0 (John) pass, the second fails on every person that knows
+// someone.
+TEST_F(ParallelExecution, FailingMorselsReturnTheSerialError) {
+  for (const char* query :
+       {"CONSTRUCT (z) MATCH (n:Person) "
+        "WHERE CASE WHEN n.firstName = 'John' THEN FALSE ELSE n.lastName END",
+        "CONSTRUCT (z) MATCH (n:Person)-[e:knows]->(m) WHERE m.lastName"}) {
+    auto parsed = ParseQuery(query);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    const MatchClause& match = *(*parsed)->body->basic->match;
+    auto serial = RunMatch(match, /*use_planner=*/true, 1, /*morsel=*/1);
+    ASSERT_FALSE(serial.ok()) << query;
+    EXPECT_EQ(serial.status().code(), StatusCode::kTypeError) << query;
+    // The row-at-a-time legacy walk meets the same first failing row.
+    auto legacy = RunMatch(match, /*use_planner=*/false, 1, 0);
+    ASSERT_FALSE(legacy.ok()) << query;
+    EXPECT_EQ(serial.status().message(), legacy.status().message()) << query;
+    for (size_t parallelism : {size_t{2}, size_t{8}}) {
+      for (int iter = 0; iter < 10; ++iter) {
+        auto parallel =
+            RunMatch(match, /*use_planner=*/true, parallelism, /*morsel=*/1);
+        ASSERT_FALSE(parallel.ok()) << query << " @ " << parallelism;
+        EXPECT_EQ(parallel.status().code(), serial.status().code())
+            << query << " @ " << parallelism;
+        EXPECT_EQ(parallel.status().message(), serial.status().message())
+            << query << " @ " << parallelism;
+      }
+    }
+  }
+}
+
 // Fresh path identifiers must come out *identical* to a serial run at
 // every degree — including the gaps a pushed filter leaves behind
 // (serial allocation draws an id for every expanded row, then drops the

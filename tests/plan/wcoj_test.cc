@@ -16,6 +16,7 @@
 #include "graph/graph_builder.h"
 #include "parser/parser.h"
 #include "plan/cost.h"
+#include "plan/executor.h"
 #include "plan/planner.h"
 #include "snb/toy_graphs.h"
 
@@ -389,44 +390,51 @@ class BuildSideTest : public ::testing::Test {
     catalog.SetDefaultGraph("skew");
   }
 
-  Result<QueryResult> Run(const std::string& query, bool choose_build) {
-    QueryEngine engine(&catalog);
-    engine.set_choose_build_side(choose_build);
-    return engine.Execute(query);
-  }
-
   GraphCatalog catalog;
 };
 
 TEST_F(BuildSideTest, SkewedJoinMarksSwapBuildAndPreservesResults) {
-  const std::string query =
-      "SELECT s.k AS k MATCH (s:Small), (g:Big) WHERE s.k = g.k "
-      "ORDER BY k";
-  auto with = Run("EXPLAIN " + query, true);
-  ASSERT_TRUE(with.ok()) << with.status().ToString();
-  std::string plan;
-  for (size_t i = 0; i < with->table->NumRows(); ++i) {
-    plan += with->table->At(i, 0).AsString() + "\n";
+  QueryEngine engine(&catalog);
+  auto explained = engine.Execute(
+      "EXPLAIN SELECT s.k AS k MATCH (s:Small), (g:Big) WHERE s.k = g.k "
+      "ORDER BY k");
+  ASSERT_TRUE(explained.ok()) << explained.status().ToString();
+  std::string rendered;
+  for (size_t i = 0; i < explained->table->NumRows(); ++i) {
+    rendered += explained->table->At(i, 0).AsString() + "\n";
   }
-  EXPECT_NE(plan.find("HashJoin swap_build"), std::string::npos) << plan;
+  EXPECT_NE(rendered.find("HashJoin swap_build"), std::string::npos)
+      << rendered;
 
-  auto without_flag = Run("EXPLAIN " + query, false);
-  ASSERT_TRUE(without_flag.ok());
-  std::string base;
-  for (size_t i = 0; i < without_flag->table->NumRows(); ++i) {
-    base += without_flag->table->At(i, 0).AsString() + "\n";
+  // Identical results with and without the swap: run the same plan, then
+  // clear swap_build on its join and run it again (canonical column order
+  // is re-merged, so only row order may differ).
+  auto parsed = ParseQuery(
+      "CONSTRUCT (s) MATCH (s:Small), (g:Big) WHERE s.k = g.k");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  MatcherContext ctx;
+  ctx.catalog = &catalog;
+  ctx.default_graph = "skew";
+  Matcher matcher(ctx);
+  Planner planner(&matcher, PlannerOptions::FromContext(ctx));
+  auto plan = planner.PlanMatch(*(*parsed)->body->basic->match);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  PlanNode* join = plan->get();
+  while (join->op != PlanOp::kHashJoin) {
+    ASSERT_FALSE(join->children.empty()) << (*plan)->ToString();
+    join = join->children[0].get();
   }
-  EXPECT_EQ(base.find("swap_build"), std::string::npos) << base;
+  ASSERT_TRUE(join->swap_build) << (*plan)->ToString();
 
-  // Identical results either way (canonical column order re-merged).
-  auto swapped = Run(query, true);
-  auto plain = Run(query, false);
-  ASSERT_TRUE(swapped.ok() && plain.ok());
-  Table a = std::move(*swapped->table);
-  Table c = std::move(*plain->table);
-  a.SortRows();
-  c.SortRows();
-  EXPECT_EQ(a.ToString(), c.ToString());
+  Executor executor(&matcher);
+  auto swapped = executor.Run(**plan);
+  ASSERT_TRUE(swapped.ok()) << swapped.status().ToString();
+  join->swap_build = false;
+  auto plain = executor.Run(**plan);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  EXPECT_EQ(swapped->NumRows(), 200u);
+  EXPECT_EQ(swapped->columns(), plain->columns());
+  EXPECT_EQ(Canonical(*swapped), Canonical(*plain));
 }
 
 // --- parallel left outer join ------------------------------------------------
