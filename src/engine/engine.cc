@@ -204,13 +204,10 @@ Result<QueryResult> QueryEngine::Execute(const Query& query,
 Result<QueryResult> QueryEngine::ExecuteParsed(const Query& query,
                                                Scope* scope) {
   GCORE_RETURN_NOT_OK(ValidateQuery(query));
-  // Plain EXPLAIN never executes; EXPLAIN ANALYZE runs the query through
-  // an instrumented executor — like normal execution it may register
+  // EXPLAIN ANALYZE executes like a plain query: it may register
   // query-local graphs, which must not outlive the query.
-  auto result = query.explain
-                    ? (query.explain_analyze ? ExplainAnalyze(query, scope)
-                                             : Explain(query, scope))
-                    : ExecuteWithScope(query, scope);
+  auto result = query.explain ? Explain(query, scope)
+                              : ExecuteWithScope(query, scope);
   for (const auto& name : scope->local_graphs) {
     catalog_->DropGraph(name);
   }
@@ -218,11 +215,23 @@ Result<QueryResult> QueryEngine::ExecuteParsed(const Query& query,
 }
 
 Result<QueryResult> QueryEngine::Explain(const Query& query, Scope* scope) {
-  // Planning never executes: head clauses, ON subqueries and path views
-  // stay unmaterialized, so their locations degrade to unknown estimates.
+  // Plain EXPLAIN never executes: head clauses, ON subqueries and path
+  // views stay unmaterialized, so their locations degrade to unknown
+  // estimates. EXPLAIN ANALYZE runs the whole query through the normal
+  // path first, recording the plan every rendered basic query executed.
+  ExecutedPlans executed;
+  if (query.explain_analyze) {
+    executed = RenderedBasics(query);
+    scope->executed = &executed;
+    auto ran = ExecuteWithScope(query, scope);
+    scope->executed = nullptr;
+    GCORE_RETURN_NOT_OK(ran.status());
+  }
   Matcher matcher = MakeMatcher(scope);
-  GCORE_ASSIGN_OR_RETURN(std::vector<std::string> lines,
-                         ExplainQuery(query, &matcher));
+  GCORE_ASSIGN_OR_RETURN(
+      std::vector<std::string> lines,
+      ExplainQuery(query, &matcher,
+                   query.explain_analyze ? &executed : nullptr));
   Table table({"plan"});
   for (auto& line : lines) {
     Status st = table.AddRow({Value::String(std::move(line))});
@@ -231,129 +240,6 @@ Result<QueryResult> QueryEngine::Explain(const Query& query, Scope* scope) {
   QueryResult result;
   result.table = std::move(table);
   return result;
-}
-
-Result<QueryResult> QueryEngine::ExplainAnalyze(const Query& query,
-                                                Scope* scope) {
-  std::vector<std::string> lines;
-  for (const auto& path_clause : query.path_clauses) {
-    scope->pending_paths.push_back(&path_clause);
-    lines.push_back("PathView " + path_clause.name +
-                    " (materialized lazily on first reference)");
-  }
-  for (const auto& graph_clause : query.graph_clauses) {
-    // Head clauses execute for real — the body runs against their
-    // graphs — but only the body's binding pipeline is instrumented.
-    GCORE_RETURN_NOT_OK(EvalGraphClause(graph_clause, scope));
-    lines.push_back(std::string(graph_clause.is_view ? "GraphView "
-                                                     : "Graph ") +
-                    graph_clause.name + " AS (materialized)");
-  }
-  if (query.body != nullptr) {
-    // Same dispatch as ExecuteWithScope: a top-level SELECT is the one
-    // basic body allowed to produce a table; everything else evaluates
-    // as a graph body (set operations included, with their typing
-    // checks), so ANALYZE fails exactly where plain execution would.
-    if (query.body->kind == QueryBody::Kind::kBasic &&
-        query.body->basic->select.has_value()) {
-      GCORE_ASSIGN_OR_RETURN(QueryResult finished,
-                             AnalyzeBasic(*query.body->basic, scope,
-                                          &lines));
-      (void)finished;
-    } else {
-      GCORE_ASSIGN_OR_RETURN(PathPropertyGraph graph,
-                             AnalyzeGraphBody(*query.body, scope, &lines));
-      (void)graph;
-    }
-  }
-  Table table({"plan"});
-  for (auto& line : lines) {
-    Status st = table.AddRow({Value::String(std::move(line))});
-    (void)st;
-  }
-  QueryResult result;
-  result.table = std::move(table);
-  return result;
-}
-
-Result<PathPropertyGraph> QueryEngine::AnalyzeGraphBody(
-    const QueryBody& body, Scope* scope, std::vector<std::string>* lines) {
-  switch (body.kind) {
-    case QueryBody::Kind::kBasic: {
-      GCORE_ASSIGN_OR_RETURN(QueryResult r,
-                             AnalyzeBasic(*body.basic, scope, lines));
-      if (!r.graph.has_value()) {
-        return Status::BindError(
-            "SELECT queries cannot participate in graph set operations");
-      }
-      return std::move(*r.graph);
-    }
-    case QueryBody::Kind::kGraphRef: {
-      GCORE_ASSIGN_OR_RETURN(const PathPropertyGraph* g,
-                             catalog_->Lookup(body.graph_ref));
-      lines->push_back("Graph " + body.graph_ref);
-      return PathPropertyGraph(*g);
-    }
-    case QueryBody::Kind::kUnion:
-    case QueryBody::Kind::kIntersect:
-    case QueryBody::Kind::kMinus: {
-      const PlanOp op = body.kind == QueryBody::Kind::kUnion
-                            ? PlanOp::kGraphUnion
-                            : body.kind == QueryBody::Kind::kIntersect
-                                  ? PlanOp::kGraphIntersect
-                                  : PlanOp::kGraphMinus;
-      lines->push_back(PlanOpName(op));
-      std::vector<std::string> left_lines;
-      std::vector<std::string> right_lines;
-      GCORE_ASSIGN_OR_RETURN(PathPropertyGraph left,
-                             AnalyzeGraphBody(*body.left, scope,
-                                              &left_lines));
-      GCORE_ASSIGN_OR_RETURN(PathPropertyGraph right,
-                             AnalyzeGraphBody(*body.right, scope,
-                                              &right_lines));
-      AppendChildLines(left_lines, /*last=*/false, lines);
-      AppendChildLines(right_lines, /*last=*/true, lines);
-      switch (body.kind) {
-        case QueryBody::Kind::kUnion:
-          return GraphUnion(left, right);
-        case QueryBody::Kind::kIntersect:
-          return GraphIntersect(left, right);
-        default:
-          return GraphMinus(left, right);
-      }
-    }
-  }
-  return Status::EvaluationError("unhandled query body kind");
-}
-
-Result<QueryResult> QueryEngine::AnalyzeBasic(const BasicQuery& basic,
-                                              Scope* scope,
-                                              std::vector<std::string>* lines) {
-  lines->push_back(basic.select.has_value() ? "Select" : "Construct");
-  // The exact execution path, instrumented: EvalBindings prepares path
-  // views and ON-(subquery) locations as usual (so the plan runs against
-  // resolved graphs, unlike plain EXPLAIN) and, given the stats sink,
-  // runs the MATCH through the ExecStats-recording executor.
-  ExecStats stats;
-  PlanPtr plan;
-  GCORE_ASSIGN_OR_RETURN(BindingTable bindings,
-                         EvalBindings(basic, scope, &stats, &plan));
-  std::vector<std::string> sub;
-  if (plan != nullptr) {
-    stats.AnnotateActuals(plan.get());
-    sub = plan->RenderLines();
-  } else if (!basic.from_table.empty()) {
-    sub.push_back("TableScan " + basic.from_table + "  (actual_rows=" +
-                  std::to_string(bindings.NumRows()) + ")");
-  } else {
-    sub.push_back("Unit");
-  }
-  // The consuming tail runs too (EXPLAIN ANALYZE executes the whole
-  // query); only the binding pipeline is rendered.
-  GCORE_ASSIGN_OR_RETURN(QueryResult finished,
-                         FinishBasic(basic, std::move(bindings), scope));
-  AppendChildLines(sub, /*last=*/true, lines);
-  return finished;
 }
 
 Result<QueryResult> QueryEngine::ExecuteWithScope(const Query& query,
@@ -600,9 +486,15 @@ Status QueryEngine::MaterializeOnLocations(
   return Status::OK();
 }
 
-Result<BindingTable> QueryEngine::EvalBindings(
-    const BasicQuery& basic, Scope* scope, ExecStats* stats,
-    std::unique_ptr<PlanNode>* plan_out) {
+Result<BindingTable> QueryEngine::EvalBindings(const BasicQuery& basic,
+                                               Scope* scope) {
+  // EXPLAIN ANALYZE: this query's slot in the record, when it is one the
+  // renderer prints.
+  ExecutedBasic* executed = nullptr;
+  if (scope->executed != nullptr) {
+    auto it = scope->executed->find(&basic);
+    if (it != scope->executed->end()) executed = &it->second;
+  }
   if (basic.match.has_value()) {
     GCORE_RETURN_NOT_OK(MaterializePathViewsFor(*basic.match, scope));
 
@@ -613,19 +505,20 @@ Result<BindingTable> QueryEngine::EvalBindings(
         MaterializeOnLocations(*basic.match, scope, &overrides));
 
     auto eval = [&](Matcher* matcher) -> Result<BindingTable> {
-      if (stats != nullptr) {
-        return matcher->EvalMatchClauseAnalyzed(*basic.match, stats,
-                                                plan_out);
+      if (executed != nullptr) {
+        ExecStats stats;
+        auto bindings = matcher->EvalMatchClause(*basic.match, nullptr,
+                                                 &stats, &executed->plan);
+        if (executed->plan != nullptr) {
+          stats.AnnotateActuals(executed->plan.get());
+        }
+        return bindings;
       }
       // Plan-cache hooks apply only to the query body's own basic query
       // (EXISTS subqueries re-enter here with a different BasicQuery).
       if (scope->cache_basic == &basic) {
-        if (scope->cached_plan != nullptr) {
-          return matcher->EvalMatchClauseWithPlan(*basic.match,
-                                                  *scope->cached_plan);
-        }
-        return matcher->EvalMatchClausePlanning(*basic.match,
-                                                &scope->built_plan);
+        return matcher->EvalMatchClause(*basic.match, scope->cached_plan,
+                                        nullptr, &scope->built_plan);
       }
       return matcher->EvalMatchClause(*basic.match);
     };
@@ -641,7 +534,9 @@ Result<BindingTable> QueryEngine::EvalBindings(
   if (!basic.from_table.empty()) {
     GCORE_ASSIGN_OR_RETURN(const Table* table,
                            catalog_->LookupTable(basic.from_table));
-    return TableAsBindings(*table);
+    BindingTable bindings = TableAsBindings(*table);
+    if (executed != nullptr) executed->rows = bindings.NumRows();
+    return bindings;
   }
   return BindingTable::Unit();
 }

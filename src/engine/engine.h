@@ -27,6 +27,13 @@
 // body evaluates CONSTRUCT∘MATCH per basic query and combines full graph
 // queries with the set operations of A.5. The Section 5 extensions
 // (SELECT, FROM <table>, ON <table>) produce/consume tables.
+//
+// `EXPLAIN <query>` returns the plan as a one-column table without
+// executing anything. `EXPLAIN ANALYZE <query>` executes the query
+// through the same path as Execute — head clauses, subqueries, set
+// operations and the CONSTRUCT/SELECT tail included, failing with the
+// same Status — and renders the plans it ran with actual rows and times
+// (plan/explain.h).
 #ifndef GCORE_ENGINE_ENGINE_H_
 #define GCORE_ENGINE_ENGINE_H_
 
@@ -43,6 +50,7 @@
 #include "eval/matcher.h"
 #include "graph/catalog.h"
 #include "paths/path_view.h"
+#include "plan/explain.h"
 #include "snb/table.h"
 
 namespace gcore {
@@ -151,6 +159,10 @@ class QueryEngine {
     /// own; EXISTS subqueries re-enter EvalBindings and must not touch
     /// the slot).
     const BasicQuery* cache_basic = nullptr;
+    /// EXPLAIN ANALYZE: the record of the basic queries the renderer
+    /// prints, which EvalBindings fills with the plans they execute.
+    /// Null in plain execution.
+    ExecutedPlans* executed = nullptr;
   };
 
   /// The post-parse execution path shared by every entry point:
@@ -163,13 +175,8 @@ class QueryEngine {
   Status EvalGraphClause(const GraphClause& clause, Scope* scope);
 
   /// Binding-producing part of a basic query (MATCH / FROM / unit).
-  /// A non-null `stats` instruments the MATCH pipeline (EXPLAIN
-  /// ANALYZE): actual rows record per operator and the executed plan is
-  /// handed out through `plan_out` (null for FROM/unit bodies).
-  Result<BindingTable> EvalBindings(const BasicQuery& basic, Scope* scope,
-                                    ExecStats* stats = nullptr,
-                                    std::unique_ptr<PlanNode>* plan_out =
-                                        nullptr);
+  /// Fills the query's entry of `scope->executed`, if it has one.
+  Result<BindingTable> EvalBindings(const BasicQuery& basic, Scope* scope);
   /// Consuming tail of a basic query: SELECT projection or CONSTRUCT
   /// over already-computed bindings.
   Result<QueryResult> FinishBasic(const BasicQuery& basic,
@@ -209,26 +216,16 @@ class QueryEngine {
                                 const std::string& default_graph,
                                 std::vector<std::string>* out);
 
-  /// EXPLAIN: plans (without executing) and renders the optimized plan
-  /// as a one-column table.
+  /// EXPLAIN [ANALYZE]: renders the plan through ExplainQuery as a
+  /// one-column table. Plain EXPLAIN only plans. ANALYZE first runs the
+  /// whole query through ExecuteWithScope with an ExecutedPlans record
+  /// (head clauses, ON subqueries, the CONSTRUCT/SELECT tail and set
+  /// operations all execute; results are discarded, errors returned as
+  /// plain execution returns them), then renders the executed plans with
+  /// actual_rows / actual_ms next to every estimate. The MATCH of every
+  /// rendered basic query runs the planner pipeline, regardless of
+  /// set_use_planner.
   Result<QueryResult> Explain(const Query& query, Scope* scope);
-
-  /// EXPLAIN ANALYZE: plans, *executes* through an ExecStats-instrumented
-  /// executor (head clauses run for real; the CONSTRUCT/SELECT tail and
-  /// graph set operations run too, results discarded — execution errors
-  /// surface exactly as they would without ANALYZE) and renders the plan
-  /// with actual_rows annotated next to every estimate. Always analyzes
-  /// the planner pipeline, regardless of set_use_planner.
-  Result<QueryResult> ExplainAnalyze(const Query& query, Scope* scope);
-  /// Instrumented mirror of EvalBody: renders into `lines` while
-  /// evaluating (set operations included, with EvalBody's graph-typing
-  /// checks).
-  Result<PathPropertyGraph> AnalyzeGraphBody(const QueryBody& body,
-                                             Scope* scope,
-                                             std::vector<std::string>* lines);
-  /// Instrumented mirror of EvalBasic; returns the finished result.
-  Result<QueryResult> AnalyzeBasic(const BasicQuery& basic, Scope* scope,
-                                   std::vector<std::string>* lines);
 
   GraphCatalog* catalog_;
   EngineOptions options_;

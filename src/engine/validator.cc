@@ -44,6 +44,10 @@ class Validator {
       if (gc.query != nullptr) {
         Validator inner;
         GCORE_RETURN_NOT_OK(inner.Check(*gc.query, path_view_names));
+        if (IsTableTyped(*gc.query)) {
+          return Status::BindError("GRAPH clause '" + gc.name +
+                                   "' requires a graph-typed query");
+        }
       }
     }
     if (query.body != nullptr) {
@@ -53,6 +57,16 @@ class Validator {
   }
 
  private:
+  // --- graph typing -------------------------------------------------------------
+
+  /// True when `query` evaluates to a table (a SELECT body), which graph
+  /// positions — set operations, GRAPH clauses, ON (subquery) — reject.
+  static bool IsTableTyped(const Query& query) {
+    return query.body != nullptr &&
+           query.body->kind == QueryBody::Kind::kBasic &&
+           query.body->basic->select.has_value();
+  }
+
   // --- sorts ------------------------------------------------------------------
 
   std::map<std::string, VarSort> sorts_;
@@ -82,6 +96,10 @@ class Validator {
     if (pattern.on_subquery != nullptr) {
       Validator inner;
       GCORE_RETURN_NOT_OK(inner.Check(*pattern.on_subquery));
+      if (IsTableTyped(*pattern.on_subquery)) {
+        return Status::BindError(
+            "ON (subquery) must produce a graph, not a table");
+      }
     }
     GCORE_RETURN_NOT_OK(Assign(pattern.start.var, VarSort::kNode));
     GCORE_RETURN_NOT_OK(CheckProps(pattern.start.props));
@@ -152,16 +170,21 @@ class Validator {
 
   // --- clauses -------------------------------------------------------------------
 
-  Status CheckBody(const QueryBody& body,
-                   const std::set<std::string>& views) {
+  Status CheckBody(const QueryBody& body, const std::set<std::string>& views,
+                   bool in_set_op = false) {
     switch (body.kind) {
       case QueryBody::Kind::kBasic:
-        return CheckBasic(*body.basic, views);
+        GCORE_RETURN_NOT_OK(CheckBasic(*body.basic, views));
+        if (in_set_op && body.basic->select.has_value()) {
+          return Status::BindError(
+              "SELECT queries cannot participate in graph set operations");
+        }
+        return Status::OK();
       case QueryBody::Kind::kGraphRef:
         return Status::OK();
       default:
-        GCORE_RETURN_NOT_OK(CheckBody(*body.left, views));
-        return CheckBody(*body.right, views);
+        GCORE_RETURN_NOT_OK(CheckBody(*body.left, views, /*in_set_op=*/true));
+        return CheckBody(*body.right, views, /*in_set_op=*/true);
     }
   }
 

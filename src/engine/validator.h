@@ -13,7 +13,10 @@
 //  * PATH view names are unique; referenced views exist among the head
 //    clauses;
 //  * variables shared between OPTIONAL blocks appear in the enclosing
-//    pattern (Section 3 / [31]).
+//    pattern (Section 3 / [31]);
+//  * graph positions hold graph-typed queries: a SELECT cannot be a
+//    set-operation operand, a GRAPH clause's query or an ON (subquery)
+//    location (Section 5 — SELECT is the one table-producing form).
 //
 // Validation runs before evaluation (QueryEngine::Execute) and returns
 // kBindError with a precise message.

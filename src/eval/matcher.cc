@@ -1298,65 +1298,36 @@ Result<BindingTable> Matcher::FilterTable(BindingTable table,
   return filtered;
 }
 
-Result<BindingTable> Matcher::EvalMatchClause(const MatchClause& match) {
+Result<BindingTable> Matcher::EvalMatchClause(
+    const MatchClause& match, const PlanNode* plan, ExecStats* stats,
+    std::unique_ptr<PlanNode>* plan_out) {
   // Clause-level ON: when the patterns name exactly one distinct graph,
   // patterns without their own ON run on it too.
   clause_on_override_ = ClauseOnOverride(match);
-  if (ctx_.use_planner) {
-    return PlanAndRunMatchClause(match, nullptr, nullptr);
+  if (plan == nullptr && stats == nullptr && !ctx_.use_planner) {
+    return LegacyEvalMatchClause(match);
   }
-  return LegacyEvalMatchClause(match);
-}
-
-Result<BindingTable> Matcher::EvalMatchClauseAnalyzed(
-    const MatchClause& match, ExecStats* stats,
-    std::unique_ptr<PlanNode>* plan_out) {
-  clause_on_override_ = ClauseOnOverride(match);
-  return PlanAndRunMatchClause(match, stats, plan_out);
-}
-
-Result<BindingTable> Matcher::EvalMatchClausePlanning(
-    const MatchClause& match, std::unique_ptr<PlanNode>* plan_out) {
-  clause_on_override_ = ClauseOnOverride(match);
-  if (!ctx_.use_planner) return LegacyEvalMatchClause(match);
-  return PlanAndRunMatchClause(match, nullptr, plan_out);
-}
-
-Result<BindingTable> Matcher::EvalMatchClauseWithPlan(const MatchClause& match,
-                                                      const PlanNode& plan) {
-  clause_on_override_ = ClauseOnOverride(match);
-  // Keep the legacy up-front default-graph contract (a clause with no
-  // resolvable default fails wholesale), exactly like the planning path.
-  GCORE_ASSIGN_OR_RETURN(const PathPropertyGraph* default_graph,
-                         ResolveGraph(""));
-  (void)default_graph;
-  ExecContext exec;
-  exec.parallelism = ctx_.parallelism;
-  exec.morsel_size = ctx_.morsel_size;
-  Executor executor(this, exec, nullptr);
-  return executor.Run(plan);
-}
-
-Result<BindingTable> Matcher::PlanAndRunMatchClause(
-    const MatchClause& match, ExecStats* stats,
-    std::unique_ptr<PlanNode>* plan_out) {
   // The legacy walk resolves the default graph up front and fails the
   // whole clause when none exists; keep that contract (differential
   // equivalence) even though scans resolve their own locations.
   GCORE_ASSIGN_OR_RETURN(const PathPropertyGraph* default_graph,
                          ResolveGraph(""));
   (void)default_graph;
-  Planner planner(this, PlannerOptions::FromContext(ctx_));
-  GCORE_ASSIGN_OR_RETURN(PlanPtr plan, planner.PlanMatch(match));
-  // Execution itself skips estimation (the chain-ordering rule already
-  // estimated what it compared); EXPLAIN ANALYZE wants the annotations.
-  if (stats != nullptr) planner.AnnotateEstimates(plan.get());
+  PlanPtr built;
+  if (plan == nullptr) {
+    Planner planner(this, PlannerOptions::FromContext(ctx_));
+    GCORE_ASSIGN_OR_RETURN(built, planner.PlanMatch(match));
+    // Execution itself skips estimation (the chain-ordering rule already
+    // estimated what it compared); EXPLAIN ANALYZE wants the annotations.
+    if (stats != nullptr) planner.AnnotateEstimates(built.get());
+    plan = built.get();
+  }
   ExecContext exec;
   exec.parallelism = ctx_.parallelism;
   exec.morsel_size = ctx_.morsel_size;
   Executor executor(this, exec, stats);
   auto result = executor.Run(*plan);
-  if (plan_out != nullptr) *plan_out = std::move(plan);
+  if (plan_out != nullptr) *plan_out = std::move(built);
   return result;
 }
 

@@ -7,7 +7,10 @@
 //
 // Since the planner refactor, `EvalMatchClause` lowers the clause to a
 // logical plan (plan/planner.h), optimizes it, and runs it through the
-// pull-based executor (plan/executor.h). The pre-planner recursive
+// pull-based executor (plan/executor.h). It is the one entry point for
+// every caller: plain execution, the plan cache (run a cached plan, or
+// hand the built one out) and EXPLAIN ANALYZE (record per-operator
+// actuals) differ only in its nullable hooks. The pre-planner recursive
 // tree-walk is kept as a reference implementation (`use_planner = false`)
 // for differential testing; both paths share the pattern-element
 // primitives below, so their semantics cannot drift apart.
@@ -126,33 +129,22 @@ class Matcher {
 
   /// ⟦MATCH γ WHERE ξ OPTIONAL ...⟧. Internal (anonymous) columns are
   /// dropped from the result. Plans + executes unless
-  /// `ctx.use_planner = false`.
-  Result<BindingTable> EvalMatchClause(const MatchClause& match);
-
-  /// EvalMatchClause through the instrumented planner pipeline (EXPLAIN
-  /// ANALYZE; always plans, regardless of ctx.use_planner): estimates
-  /// are annotated, every operator records its actual output rows into
-  /// `stats`, and the executed plan is handed out through `plan_out` for
-  /// rendering (it references the match AST and this matcher's context).
-  Result<BindingTable> EvalMatchClauseAnalyzed(
-      const MatchClause& match, ExecStats* stats,
-      std::unique_ptr<PlanNode>* plan_out);
-
-  /// EvalMatchClause that hands the optimized plan out through `plan_out`
-  /// after executing it (the plan-cache fill path). Planner mode only:
-  /// with ctx.use_planner = false the legacy walk runs and `plan_out`
-  /// stays null. The plan holds non-owning pointers into the match AST;
-  /// the engine keeps the parsed query alive next to the cached tree.
-  Result<BindingTable> EvalMatchClausePlanning(
-      const MatchClause& match, std::unique_ptr<PlanNode>* plan_out);
-
-  /// Executes `match` against an already-optimized plan (a plan-cache
-  /// hit): no planning, no optimizer walk — straight to the executor.
-  /// `plan` is shared, concurrently executed and never mutated; `match`
-  /// must be the clause the plan was built from (same AST object, kept
-  /// alive by the cache entry).
-  Result<BindingTable> EvalMatchClauseWithPlan(const MatchClause& match,
-                                               const PlanNode& plan);
+  /// `ctx.use_planner = false` (then the legacy tree-walk runs). Three
+  /// nullable hooks:
+  ///  * `plan` — an already-optimized plan to execute instead of planning
+  ///    (a plan-cache hit). Shared, concurrently executed and never
+  ///    mutated; `match` must be the clause it was built from (same AST
+  ///    object, kept alive by the cache entry).
+  ///  * `stats` — every operator records its actual rows and time
+  ///    (EXPLAIN ANALYZE). Forces planning even with use_planner = false,
+  ///    and annotates the built plan's estimates.
+  ///  * `plan_out` — receives the plan this call built, after executing
+  ///    it (null when `plan` was given; untouched when the legacy walk
+  ///    ran). It holds non-owning pointers into the match AST.
+  Result<BindingTable> EvalMatchClause(
+      const MatchClause& match, const PlanNode* plan = nullptr,
+      ExecStats* stats = nullptr,
+      std::unique_ptr<PlanNode>* plan_out = nullptr);
 
   /// Joined evaluation of comma-separated patterns (no WHERE).
   Result<BindingTable> EvalPatterns(
@@ -259,11 +251,6 @@ class Matcher {
 
  private:
   Result<BindingTable> LegacyEvalMatchClause(const MatchClause& match);
-  /// The one authoritative plan-and-run sequence; `stats`/`plan_out` are
-  /// the (nullable) EXPLAIN ANALYZE hooks.
-  Result<BindingTable> PlanAndRunMatchClause(
-      const MatchClause& match, ExecStats* stats,
-      std::unique_ptr<PlanNode>* plan_out);
   Result<BindingTable> EvalChainInternal(const GraphPattern& pattern,
                                          ChainResult* detail);
 

@@ -132,5 +132,77 @@ TEST(Validator, EngineRunsValidationBeforeEvaluation) {
   EXPECT_TRUE(r.status().IsBindError());
 }
 
+// A SELECT produces a table (Section 5); graph positions reject it with
+// the message evaluation would fail with.
+void ExpectTableInGraphPosition(const std::string& query,
+                                const std::string& message) {
+  auto st = Validate(query);
+  ASSERT_FALSE(st.ok()) << query;
+  EXPECT_TRUE(st.IsBindError()) << st.ToString();
+  EXPECT_EQ(st.message(), message) << query;
+}
+
+TEST(Validator, SelectInSetOperationRejected) {
+  const std::string message =
+      "SELECT queries cannot participate in graph set operations";
+  ExpectTableInGraphPosition(
+      "SELECT n.firstName MATCH (n:Person) UNION social_graph", message);
+  ExpectTableInGraphPosition(
+      "social_graph MINUS (SELECT n.firstName MATCH (n:Person))", message);
+  // Nested set operations, and set operations inside subqueries.
+  ExpectTableInGraphPosition(
+      "social_graph UNION (CONSTRUCT (n) MATCH (n) "
+      "INTERSECT (SELECT n.firstName MATCH (n:Person)))",
+      message);
+  ExpectTableInGraphPosition(
+      "CONSTRUCT (n) MATCH (n) WHERE EXISTS ( "
+      "SELECT m.firstName MATCH (m:Person) UNION social_graph )",
+      message);
+  // A top-level SELECT and a SELECT EXISTS body stay valid.
+  EXPECT_TRUE(Validate("SELECT n.firstName MATCH (n:Person)").ok());
+  EXPECT_TRUE(Validate("CONSTRUCT (n) MATCH (n) WHERE EXISTS ( "
+                       "SELECT m.firstName MATCH (n)-[:knows]->(m) )")
+                  .ok());
+}
+
+TEST(Validator, SelectGraphClauseRejected) {
+  ExpectTableInGraphPosition(
+      "GRAPH g AS (SELECT n.firstName MATCH (n:Person)) "
+      "CONSTRUCT (m) MATCH (m) ON g",
+      "GRAPH clause 'g' requires a graph-typed query");
+  ExpectTableInGraphPosition(
+      "GRAPH VIEW v AS (SELECT n.firstName MATCH (n:Person))",
+      "GRAPH clause 'v' requires a graph-typed query");
+  EXPECT_TRUE(Validate("GRAPH g AS (social_graph UNION company_graph) "
+                       "CONSTRUCT (m) MATCH (m) ON g")
+                  .ok());
+}
+
+TEST(Validator, SelectOnSubqueryRejected) {
+  ExpectTableInGraphPosition(
+      "CONSTRUCT (n) MATCH (n) ON (SELECT p.firstName MATCH (p:Person))",
+      "ON (subquery) must produce a graph, not a table");
+  ExpectTableInGraphPosition(
+      "CONSTRUCT (n) MATCH (n:Person) "
+      "OPTIONAL (n)-[e]->(m) ON (SELECT p.firstName MATCH (p:Person))",
+      "ON (subquery) must produce a graph, not a table");
+}
+
+// Plain EXPLAIN never executes, so only validation can refuse to render a
+// plan for a query that cannot run.
+TEST(Validator, ExplainOfUnrunnableQueryFails) {
+  GraphCatalog catalog;
+  snb::RegisterToyData(&catalog);
+  QueryEngine engine(&catalog);
+  const std::string query =
+      "SELECT n.firstName MATCH (n:Person) UNION social_graph";
+  auto explained = engine.Execute("EXPLAIN " + query);
+  ASSERT_FALSE(explained.ok());
+  EXPECT_TRUE(explained.status().IsBindError());
+  auto executed = engine.Execute(query);
+  ASSERT_FALSE(executed.ok());
+  EXPECT_EQ(explained.status().message(), executed.status().message());
+}
+
 }  // namespace
 }  // namespace gcore

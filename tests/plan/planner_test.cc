@@ -23,9 +23,12 @@ class PlannerTest : public ::testing::Test {
   }
 
   /// EXPLAIN through the engine; returns the plan rows joined by '\n'.
-  std::string Explain(const std::string& query, bool pushdown = true) {
+  /// `parallelism` 0 resolves to the hardware's degree.
+  std::string Explain(const std::string& query, bool pushdown = true,
+                      size_t parallelism = 0) {
     QueryEngine engine(&catalog);
     engine.set_enable_pushdown(pushdown);
+    engine.set_parallelism(parallelism);
     auto r = engine.Execute("EXPLAIN " + query);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
     if (!r.ok()) return "";
@@ -296,6 +299,56 @@ TEST_F(PlannerTest, GraphUnionIsNotExecutable) {
   Executor executor(&matcher);
   auto result = executor.Run(*plan);
   EXPECT_FALSE(result.ok());
+}
+
+// Q11 (lines 57-66): each top-level item of the view's query — the PATH
+// view and the body — is its own sibling subtree under the view line.
+// social_graph1 is not registered, so the estimates stay unknown.
+TEST_F(PlannerTest, Q11_ViewItemsAreSiblings) {
+  EXPECT_EQ(
+      Explain("GRAPH VIEW social_graph2 AS ( "
+              "PATH wKnows = (x)-[e:knows]->(y) "
+              "WHERE NOT 'Acme' IN y.employer "
+              "COST 1 / (1 + e.nr_messages) "
+              "CONSTRUCT social_graph1, (n)-/@p:toWagner/->(m) "
+              "MATCH (n:Person)-/p<~wKnows*>/->(m:Person) ON social_graph1 "
+              "WHERE (m)-[:hasInterest]->(:Tag {name='Wagner'}) "
+              "AND (n)-[:isLocatedIn]->()<-[:isLocatedIn]-(m) "
+              "AND n.firstName = 'John' AND n.lastName = 'Doe')",
+              /*pushdown=*/true, /*parallelism=*/1),
+      "GraphView social_graph2 AS\n"
+      "├─ PathView wKnows (materialized lazily on first reference)\n"
+      "└─ Construct\n"
+      "   └─ Project [n, p, m] dedup parallelism=1\n"
+      "      └─ Filter ((((m)-[:hasInterest]->(:Tag {name = 'Wagner'}) AND "
+      "(n)-[:isLocatedIn]->()<-[:isLocatedIn]-(m)) AND "
+      "(n.firstName = 'John')) AND (n.lastName = 'Doe'))\n"
+      "         └─ PathSearch (n)-/SHORTEST p <(~wKnows)*>/->(m:Person) on "
+      "social_graph1 push={(m)-[:hasInterest]->(:Tag {name = 'Wagner'})}\n"
+      "            └─ NodeScan (n:Person) on social_graph1 "
+      "push={(n.lastName = 'Doe'), (n.firstName = 'John')}");
+}
+
+// A GRAPH clause nested in a GRAPH VIEW draws as a sibling of the view's
+// body, with its own query below it; the outer body stays top-level.
+TEST_F(PlannerTest, NestedGraphClauseIsASiblingOfTheViewBody) {
+  EXPECT_EQ(Explain("GRAPH VIEW v AS ( "
+                    "GRAPH g AS (CONSTRUCT (n) MATCH (n:Person)) "
+                    "CONSTRUCT (m) MATCH (m) ON g ) "
+                    "CONSTRUCT (x) MATCH (x) ON v",
+                    /*pushdown=*/true, /*parallelism=*/1),
+            "GraphView v AS\n"
+            "├─ Graph g AS\n"
+            "│  └─ Construct\n"
+            "│     └─ Project [n] dedup parallelism=1  (est_rows=5)\n"
+            "│        └─ NodeScan (n:Person)  (est_rows=5)\n"
+            "└─ Construct\n"
+            "   └─ Project [m] dedup parallelism=1\n"
+            "      └─ NodeScan (m) on g\n"
+            "Construct\n"
+            "└─ Project [x] dedup parallelism=1\n"
+            "   └─ NodeScan (x) on v");
+  EXPECT_FALSE(catalog.HasGraph("v"));
 }
 
 // EXPLAIN never executes: ON-subquery locations and head clauses stay
