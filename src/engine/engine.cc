@@ -70,11 +70,7 @@ Matcher QueryEngine::MakeMatcher(Scope* scope) {
   ctx.catalog = catalog_;
   ctx.views = &scope->views;
   ctx.default_graph = catalog_->default_graph();
-  ctx.exists_cb = [this, scope](const Query& subquery,
-                                const BindingTable& outer,
-                                size_t row) -> Result<bool> {
-    return EvalExists(subquery, outer, row, scope);
-  };
+  ctx.exists_cb = ExistsHook(scope);
   return Matcher(ctx);
 }
 
@@ -358,11 +354,7 @@ Result<PathViewRelation> QueryEngine::MaterializePathView(
   ctx.catalog = catalog_;
   ctx.views = &scope->views;
   ctx.default_graph = graph_name;
-  ctx.exists_cb = [this, scope](const Query& subquery,
-                                const BindingTable& outer,
-                                size_t row) -> Result<bool> {
-    return EvalExists(subquery, outer, row, scope);
-  };
+  ctx.exists_cb = ExistsHook(scope);
   Matcher matcher(ctx);
 
   // First pattern is the walk pattern: its elements form the segment body.
@@ -574,11 +566,7 @@ Result<QueryResult> QueryEngine::FinishBasic(const BasicQuery& basic,
       if (resolved.ok()) default_graph = *resolved;
     }
     ExprEvaluator eval(default_graph, catalog_);
-    eval.set_exists_callback([this, scope](const Query& subquery,
-                                           const BindingTable& outer,
-                                           size_t row) -> Result<bool> {
-      return EvalExists(subquery, outer, row, scope);
-    });
+    eval.set_exists_callback(ExistsHook(scope));
 
     auto cell_of = [](const Datum& d) -> Value {
       if (d.kind() == Datum::Kind::kValues && d.values().is_singleton()) {
@@ -690,11 +678,7 @@ Result<QueryResult> QueryEngine::FinishBasic(const BasicQuery& basic,
   ConstructorContext ctx;
   ctx.catalog = catalog_;
   ctx.default_graph = catalog_->default_graph();
-  ctx.exists_cb = [this, scope](const Query& subquery,
-                                const BindingTable& outer,
-                                size_t row) -> Result<bool> {
-    return EvalExists(subquery, outer, row, scope);
-  };
+  ctx.exists_cb = ExistsHook(scope);
   Constructor constructor(ctx);
   GCORE_ASSIGN_OR_RETURN(PathPropertyGraph graph,
                          constructor.EvalConstruct(*basic.construct,
@@ -745,7 +729,8 @@ Result<bool> QueryEngine::EvalExists(const Query& subquery,
   // Correlated evaluation (Appendix A.2): ⟦γ⟧Ω,G = ⟦γ⟧G ⋉ Ω. The
   // subquery's bindings are semijoined with the outer row; EXISTS is true
   // iff any survive (CONSTRUCT over a non-empty binding set yields a
-  // non-empty graph).
+  // non-empty graph). ⟦γ⟧G does not depend on the row, so a basic body is
+  // evaluated on the first row that asks and probed for every later one.
   const QueryBody* body = subquery.body.get();
   if (body == nullptr) return false;
   if (body->kind == QueryBody::Kind::kGraphRef) {
@@ -759,12 +744,20 @@ Result<bool> QueryEngine::EvalExists(const Query& subquery,
     GCORE_RETURN_NOT_OK(result.status());
     return result->graph.has_value() && !result->graph->Empty();
   }
-  GCORE_ASSIGN_OR_RETURN(BindingTable inner_bindings,
-                         EvalBindings(*body->basic, scope));
-  BindingTable outer_row(outer.columns());
-  outer_row.AppendRowFrom(outer, row);
-  BindingTable joined = TableSemijoin(outer_row, inner_bindings);
-  return !joined.Empty();
+  auto it = scope->exists_bindings.find(&subquery);
+  if (it == scope->exists_bindings.end()) {
+    GCORE_ASSIGN_OR_RETURN(BindingTable inner,
+                           EvalBindings(*body->basic, scope));
+    it = scope->exists_bindings.emplace(&subquery, std::move(inner)).first;
+  }
+  return it->second.AnyCompatible(outer, row);
+}
+
+ExprEvaluator::ExistsCallback QueryEngine::ExistsHook(Scope* scope) {
+  return [this, scope](const Query& subquery, const BindingTable& outer,
+                       size_t row) {
+    return EvalExists(subquery, outer, row, scope);
+  };
 }
 
 }  // namespace gcore

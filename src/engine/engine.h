@@ -47,6 +47,7 @@
 #include "ast/ast.h"
 #include "common/options.h"
 #include "engine/plan_cache.h"
+#include "eval/binding_ops.h"
 #include "eval/matcher.h"
 #include "graph/catalog.h"
 #include "paths/path_view.h"
@@ -163,6 +164,9 @@ class QueryEngine {
     /// prints, which EvalBindings fills with the plans they execute.
     /// Null in plain execution.
     ExecutedPlans* executed = nullptr;
+    /// Bindings of each basic-query EXISTS body, evaluated on first use
+    /// and probed for every later outer row of this execution.
+    std::map<const Query*, CorrelatedBindings> exists_bindings;
   };
 
   /// The post-parse execution path shared by every entry point:
@@ -198,10 +202,13 @@ class QueryEngine {
                                                const std::string& graph_name,
                                                Scope* scope);
 
-  /// Correlated EXISTS: evaluates the subquery's bindings semijoined with
-  /// the outer row; TRUE iff non-empty.
+  /// Correlated EXISTS: the subquery's bindings semijoined with the outer
+  /// row; TRUE iff non-empty. A basic-query body is evaluated once per
+  /// execution, on its first row (scope->exists_bindings).
   Result<bool> EvalExists(const Query& subquery, const BindingTable& outer,
                           size_t row, Scope* scope);
+  /// The EXISTS hook every evaluator of this execution is wired with.
+  ExprEvaluator::ExistsCallback ExistsHook(Scope* scope);
 
   Matcher MakeMatcher(Scope* scope);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 
@@ -10,33 +11,6 @@
 namespace gcore {
 
 namespace {
-
-/// Column positions shared by two schemas: pairs (col in a, col in b).
-std::vector<std::pair<size_t, size_t>> SharedColumns(const BindingTable& a,
-                                                     const BindingTable& b) {
-  std::vector<std::pair<size_t, size_t>> shared;
-  for (size_t i = 0; i < a.columns().size(); ++i) {
-    const size_t j = b.ColumnIndex(a.columns()[i]);
-    if (j != BindingTable::kNpos) shared.emplace_back(i, j);
-  }
-  return shared;
-}
-
-/// µ1 ∼ µ2 on the shared columns, tested column-wise (no Datum is
-/// materialized: dense cells compare kind bytes and raw ids).
-bool CompatibleAt(const BindingTable& a, size_t ra, const BindingTable& b,
-                  size_t rb,
-                  const std::vector<std::pair<size_t, size_t>>& shared) {
-  for (const auto& [ia, ib] : shared) {
-    const Column& ca = a.ColumnAt(ia);
-    const Column& cb = b.ColumnAt(ib);
-    if (ca.BoundAt(ra) && cb.BoundAt(rb) &&
-        !Column::CellsEqual(ca, ra, cb, rb)) {
-      return false;
-    }
-  }
-  return true;
-}
 
 /// Output schema of a join: a's columns then b's extra columns, with
 /// provenance merged.
@@ -59,99 +33,49 @@ BindingTable JoinSchema(const BindingTable& a, const BindingTable& b,
   return out;
 }
 
-/// Hash index over b's rows where all shared columns are bound; rows with
-/// an unbound shared column must be checked linearly against everything.
-///
-/// Buckets are keyed by the *combined hash* of the shared cells rather
-/// than by owned key vectors: probing and building walk the typed key
-/// columns directly (ValueSets and path pointers stay untouched on this
-/// hot path), and hash collisions are harmless because every candidate is
-/// re-verified with CompatibleAt() by the caller.
-struct ProbeIndex {
-  std::unordered_map<size_t, std::vector<size_t>> keyed;
-  std::vector<size_t> wildcard;
-
-  /// Combined hash of the shared columns of row `r` of `t`, reading side
-  /// `kPairMember` of each pair; false when any of them is unbound.
-  template <size_t kPairMember>
-  static bool HashSharedAt(
-      const BindingTable& t, size_t r,
-      const std::vector<std::pair<size_t, size_t>>& shared, size_t* hash) {
-    size_t h = 0;
-    for (const auto& cols : shared) {
-      const Column& c = t.ColumnAt(std::get<kPairMember>(cols));
-      if (!c.BoundAt(r)) return false;
-      h = HashCombine(h, c.HashAt(r));
-    }
-    *hash = h;
-    return true;
-  }
-
-  ProbeIndex(const BindingTable& b,
-             const std::vector<std::pair<size_t, size_t>>& shared) {
-    keyed.reserve(b.NumRows());
-    for (size_t r = 0; r < b.NumRows(); ++r) {
-      size_t h = 0;
-      if (HashSharedAt<1>(b, r, shared, &h)) {
-        keyed[h].push_back(r);
-      } else {
-        wildcard.push_back(r);
-      }
-    }
-  }
-
-  /// Calls fn(row index in b) for each candidate potentially compatible
-  /// with row `ra` of `a`; the caller must still verify with
-  /// CompatibleAt().
-  template <typename Fn>
-  void ForEachCandidate(const BindingTable& a, size_t ra,
-                        const std::vector<std::pair<size_t, size_t>>& shared,
-                        Fn fn) const {
-    size_t h = 0;
-    if (HashSharedAt<0>(a, ra, shared, &h)) {
-      auto it = keyed.find(h);
-      if (it != keyed.end()) {
-        for (size_t r : it->second) fn(r);
-      }
-    } else {
-      // Some a-side shared column unbound: any keyed bucket may match.
-      for (const auto& [k, rows] : keyed) {
-        for (size_t r : rows) fn(r);
-      }
-    }
-    for (size_t r : wildcard) fn(r);
-  }
-
-  /// True when some row of b is compatible with row `ra` of `a`; stops at
-  /// the first hit instead of enumerating every candidate
-  /// (semijoin/antijoin probe).
-  bool AnyCompatible(const BindingTable& a, size_t ra, const BindingTable& b,
-                     const std::vector<std::pair<size_t, size_t>>& shared)
-      const {
-    size_t h = 0;
-    if (HashSharedAt<0>(a, ra, shared, &h)) {
-      auto it = keyed.find(h);
-      if (it != keyed.end()) {
-        for (size_t r : it->second) {
-          if (CompatibleAt(a, ra, b, r, shared)) return true;
-        }
-      }
-    } else {
-      for (const auto& [k, rows] : keyed) {
-        (void)k;
-        for (size_t r : rows) {
-          if (CompatibleAt(a, ra, b, r, shared)) return true;
-        }
-      }
-    }
-    for (size_t r : wildcard) {
-      if (CompatibleAt(a, ra, b, r, shared)) return true;
-    }
-    return false;
-  }
-};
-
 }  // namespace
+
+ProbeIndex::Shared ProbeIndex::SharedColumns(const BindingTable& a,
+                                             const BindingTable& b) {
+  Shared shared;
+  for (size_t i = 0; i < a.columns().size(); ++i) {
+    const size_t j = b.ColumnIndex(a.columns()[i]);
+    if (j != BindingTable::kNpos) shared.emplace_back(i, j);
+  }
+  return shared;
+}
+
+bool ProbeIndex::CompatibleAt(const BindingTable& a, size_t ra,
+                              const BindingTable& b, size_t rb,
+                              const Shared& shared) {
+  for (const auto& [ia, ib] : shared) {
+    const Column& ca = a.ColumnAt(ia);
+    const Column& cb = b.ColumnAt(ib);
+    if (ca.BoundAt(ra) && cb.BoundAt(rb) &&
+        !Column::CellsEqual(ca, ra, cb, rb)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Buckets are keyed by the *combined hash* of the shared cells rather
+// than by owned key vectors: probing and building walk the typed key
+// columns directly (ValueSets and path pointers stay untouched on this
+// hot path), and hash collisions are harmless because every candidate is
+// re-verified with CompatibleAt.
+ProbeIndex::ProbeIndex(const BindingTable& a, const BindingTable& b)
+    : b_(&b), shared_(SharedColumns(a, b)) {
+  keyed_.reserve(b.NumRows());
+  for (size_t r = 0; r < b.NumRows(); ++r) {
+    size_t h = 0;
+    if (HashSharedAt<1>(b, r, shared_, &h)) {
+      keyed_[h].push_back(r);
+    } else {
+      wildcard_.push_back(r);
+    }
+  }
+}
 
 BindingTable TableUnion(const BindingTable& a, const BindingTable& b) {
   std::vector<size_t> b_extra;
@@ -315,12 +239,10 @@ BindingTable JoinTracked(const BindingTable& a, const BindingTable& b,
                          std::vector<char>* matched) {
   std::vector<size_t> b_extra;
   BindingTable out = JoinSchema(a, b, &b_extra);
-  const auto shared = SharedColumns(a, b);
-  const ProbeIndex index(b, shared);
-  JoinDedupSink sink(&out, a, b, shared, b_extra);
+  const ProbeIndex index(a, b);
+  JoinDedupSink sink(&out, a, b, index.shared(), b_extra);
   for (size_t ra = 0; ra < a.NumRows(); ++ra) {
-    index.ForEachCandidate(a, ra, shared, [&](size_t rb) {
-      if (!CompatibleAt(a, ra, b, rb, shared)) return;
+    index.ForEachCompatible(a, ra, [&](size_t rb) {
       if (matched != nullptr) (*matched)[ra] = 1;
       sink.InsertPair(ra, rb);
     });
@@ -378,7 +300,7 @@ BindingTable JoinParallelTracked(const BindingTable& a, const BindingTable& b,
                                  size_t parallelism, size_t morsel_rows,
                                  std::vector<char>* matched) {
   const size_t morsel = morsel_rows == 0 ? kJoinMorselRows : morsel_rows;
-  const auto shared = SharedColumns(a, b);
+  const auto shared = ProbeIndex::SharedColumns(a, b);
   if (parallelism <= 1 || a.NumRows() < 2 * morsel) {
     return JoinTracked(a, b, matched);
   }
@@ -410,7 +332,7 @@ BindingTable JoinParallelTracked(const BindingTable& a, const BindingTable& b,
       size_t h = 0;
       ProbeIndex::HashSharedAt<0>(a, r, shared, &h);  // pre-checked bound
       auto emit = [&](size_t rb_idx) {
-        if (!CompatibleAt(a, r, b, rb_idx, shared)) return;
+        if (!ProbeIndex::CompatibleAt(a, r, b, rb_idx, shared)) return;
         if (matched != nullptr) (*matched)[r] = 1;
         size_t row_hash = 0;
         if (sink.InsertPair(r, rb_idx, &row_hash)) {
@@ -472,7 +394,6 @@ struct StreamingJoinProbe::Impl {
   BindingTable build;
   bool swap_output;
   bool started = false;
-  std::vector<std::pair<size_t, size_t>> shared;
   std::vector<size_t> b_extra;
   /// Accumulated join output in probe-first column order.
   BindingTable out;
@@ -487,14 +408,13 @@ struct StreamingJoinProbe::Impl {
 
   void Start(const BindingTable& chunk) {
     started = true;
-    shared = SharedColumns(chunk, build);
+    index.emplace(chunk, build);
     out = JoinSchema(chunk, build, &b_extra);
     probe_schema = BindingTable(chunk.columns());
     for (const auto& [var, graph] : chunk.column_graphs()) {
       probe_schema.SetColumnGraph(var, graph);
     }
-    index.emplace(build, shared);
-    sink.emplace(&out, chunk, build, shared, b_extra);
+    sink.emplace(&out, chunk, build, index->shared(), b_extra);
   }
 };
 
@@ -508,8 +428,7 @@ void StreamingJoinProbe::Probe(const BindingTable& chunk) {
   if (!s.started) s.Start(chunk);
   s.sink->SetProbe(chunk);
   for (size_t ra = 0; ra < chunk.NumRows(); ++ra) {
-    s.index->ForEachCandidate(chunk, ra, s.shared, [&](size_t rb) {
-      if (!CompatibleAt(chunk, ra, s.build, rb, s.shared)) return;
+    s.index->ForEachCompatible(chunk, ra, [&](size_t rb) {
       s.sink->InsertPair(ra, rb);
     });
   }
@@ -538,10 +457,9 @@ BindingTable TableSemijoin(const BindingTable& a, const BindingTable& b) {
   for (const auto& [var, graph] : a.column_graphs()) {
     out.SetColumnGraph(var, graph);
   }
-  const auto shared = SharedColumns(a, b);
-  const ProbeIndex index(b, shared);
+  const ProbeIndex index(a, b);
   for (size_t ra = 0; ra < a.NumRows(); ++ra) {
-    if (index.AnyCompatible(a, ra, b, shared)) {
+    if (index.AnyCompatible(a, ra)) {
       out.AppendRowFrom(a, ra);
     }
   }
@@ -553,10 +471,9 @@ BindingTable TableAntijoin(const BindingTable& a, const BindingTable& b) {
   for (const auto& [var, graph] : a.column_graphs()) {
     out.SetColumnGraph(var, graph);
   }
-  const auto shared = SharedColumns(a, b);
-  const ProbeIndex index(b, shared);
+  const ProbeIndex index(a, b);
   for (size_t ra = 0; ra < a.NumRows(); ++ra) {
-    if (!index.AnyCompatible(a, ra, b, shared)) {
+    if (!index.AnyCompatible(a, ra)) {
       out.AppendRowFrom(a, ra);
     }
   }
@@ -592,6 +509,19 @@ BindingTable TableLeftOuterJoinParallel(const BindingTable& a,
   }
   missing.AppendRowsFrom(a, kept);
   return TableUnion(joined, missing);
+}
+
+bool CorrelatedBindings::AnyCompatible(const BindingTable& outer,
+                                       size_t row) {
+  auto it = probes_.find(outer.columns());
+  if (it == probes_.end()) {
+    it = probes_
+             .emplace(std::piecewise_construct,
+                      std::forward_as_tuple(outer.columns()),
+                      std::forward_as_tuple(outer, inner_))
+             .first;
+  }
+  return it->second.AnyCompatible(outer, row);
 }
 
 }  // namespace gcore

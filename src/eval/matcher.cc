@@ -1451,20 +1451,19 @@ BindingTable Matcher::ProjectChunk(
 
 Result<bool> Matcher::PatternHasMatch(const GraphPattern& pattern,
                                       const BindingTable& outer, size_t row) {
-  // Pattern predicates may themselves be pushdown filters; disable
-  // pushdown while evaluating them to avoid re-entering ourselves.
-  std::map<std::string, std::vector<const Expr*>> saved;
-  saved.swap(pushdown_filters_);
-  auto restore = [&]() { pushdown_filters_.swap(saved); };
-  auto chain = EvalChainInternal(pattern, nullptr);
-  restore();
-  if (!chain.ok()) return chain.status();
-  BindingTable t = std::move(*chain);
-  // Correlate: keep only matches compatible with the outer row.
-  BindingTable outer_row(outer.columns());
-  outer_row.AppendRowFrom(outer, row);
-  BindingTable joined = TableSemijoin(std::move(outer_row), t);
-  return !joined.Empty();
+  auto it = pattern_matches_.find(&pattern);
+  if (it == pattern_matches_.end()) {
+    // Pattern predicates may themselves be pushdown filters; disable
+    // pushdown while evaluating them to avoid re-entering ourselves.
+    std::map<std::string, std::vector<const Expr*>> saved;
+    saved.swap(pushdown_filters_);
+    auto chain = EvalChainInternal(pattern, nullptr);
+    pushdown_filters_.swap(saved);
+    if (!chain.ok()) return chain.status();
+    it = pattern_matches_.emplace(&pattern, std::move(*chain)).first;
+  }
+  // Correlate: the row survives iff some match is compatible with it.
+  return it->second.AnyCompatible(outer, row);
 }
 
 }  // namespace gcore

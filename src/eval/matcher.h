@@ -26,6 +26,7 @@
 #include "ast/ast.h"
 #include "common/options.h"
 #include "eval/binding.h"
+#include "eval/binding_ops.h"
 #include "eval/expr_eval.h"
 #include "eval/expr_vec.h"
 #include "graph/adjacency.h"
@@ -154,7 +155,9 @@ class Matcher {
   Result<ChainResult> EvalChainDetailed(const GraphPattern& pattern);
 
   /// True when `pattern` has at least one match compatible with row
-  /// `row` of `outer` (the ⋉ of correlated predicates).
+  /// `row` of `outer` (the ⋉ of correlated predicates). The pattern's
+  /// matches are evaluated on first use and kept for the matcher's
+  /// lifetime; every later row costs one probe.
   Result<bool> PatternHasMatch(const GraphPattern& pattern,
                                const BindingTable& outer, size_t row);
 
@@ -306,6 +309,11 @@ class Matcher {
   mutable std::map<std::pair<const Expr*, std::string>,
                    std::shared_ptr<const VecProgram>>
       vec_cache_;
+  /// ⟦γ⟧G of each pattern predicate, evaluated on first use (one
+  /// evaluation per MATCH clause instead of one per outer row). Pattern
+  /// predicates never run on worker threads (ExprParallelSafe), so no
+  /// lock guards this.
+  std::map<const GraphPattern*, CorrelatedBindings> pattern_matches_;
   int anon_counter_ = 0;
 };
 

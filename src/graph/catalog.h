@@ -57,9 +57,10 @@ class GraphCatalog {
   /// version; the old graph/stats/snapshot images are epoch-retired (kept
   /// alive until no reader is active).
   void RegisterGraph(const std::string& name, PathPropertyGraph graph);
-  /// Registers a graph together with precomputed statistics (e.g. a
-  /// GraphBuilder's incrementally collected GraphBuilder::Stats()),
-  /// seeding the cache Stats() reads so no collection scan runs later.
+  /// Registers a graph together with given statistics, seeding the cache
+  /// Stats() reads so no collection sweep runs later. Tests use it to
+  /// plan against doctored statistics; the engine itself registers
+  /// without and lets Stats() collect.
   void RegisterGraph(const std::string& name, PathPropertyGraph graph,
                      GraphStats stats);
   /// Registers a graph synthesized from the same-name table (the
@@ -128,7 +129,8 @@ class GraphCatalog {
   /// NotFound when the graph is unregistered. Shared ownership: the
   /// returned statistics cannot dangle across a re-registration (they
   /// describe the graph version they were collected from). Collection is
-  /// one column sweep over the (equally cached) snapshot, run *outside*
+  /// GraphStats::CollectFromSnapshot over the (equally cached) snapshot —
+  /// the one statistics collector of the engine — run *outside*
   /// the catalog mutex with a double-checked publish, so a first stats
   /// request on a large graph never blocks concurrent lookups.
   Result<std::shared_ptr<const GraphStats>> Stats(const std::string& name);

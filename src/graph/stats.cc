@@ -1,16 +1,21 @@
 #include "graph/stats.h"
 
+#include <algorithm>
+#include <set>
+#include <unordered_map>
+
 #include "graph/snapshot.h"
 
 namespace gcore {
 
 namespace {
 
+using Buckets = std::map<std::string, std::map<std::string, size_t>>;
+
 /// Buckets of one endpoint-label map an edge contributes to: every label
 /// the endpoint carries, plus the "" any-label bucket.
-void CountEdgeBuckets(
-    const LabelSet& endpoint_labels, const LabelSet& edge_labels,
-    std::map<std::string, std::map<std::string, size_t>>* counts) {
+void CountEdgeBuckets(const LabelSet& endpoint_labels,
+                      const LabelSet& edge_labels, Buckets* counts) {
   auto count_edge_labels = [&](const std::string& endpoint_label) {
     auto& by_edge_label = (*counts)[endpoint_label];
     ++by_edge_label[""];
@@ -20,8 +25,7 @@ void CountEdgeBuckets(
   for (const auto& label : endpoint_labels) count_edge_labels(label);
 }
 
-/// Folds one property value into `stats` (count/distinct handled by the
-/// caller, which owns the distinct-tracking sets).
+/// Folds one property value into the numeric range of `stats`.
 void FoldRange(PropertyStats* stats, const Value& value) {
   if (!value.is_numeric()) return;
   const double v = value.NumericAsDouble();
@@ -35,51 +39,63 @@ void FoldRange(PropertyStats* stats, const Value& value) {
   if (v > stats->max) stats->max = v;
 }
 
-void FoldPropertyValue(const std::string& key, const Value& value,
-                       bool is_new_key,
-                       std::map<std::string, PropertyStats>* props,
-                       std::map<std::string, std::set<Value>>* values) {
-  PropertyStats& stats = (*props)[key];
-  if (is_new_key) ++stats.count;
-  (*values)[key].insert(value);
-  FoldRange(&stats, value);
-}
+/// Distinct-value sets of one object class in the PPG scan: global per
+/// key, and per (label, key) for the label-restricted buckets.
+struct ValueSets {
+  std::map<std::string, std::set<Value>> global;
+  std::map<std::string, std::map<std::string, std::set<Value>>> by_label;
+};
 
+/// One count per carrying object, distinct/range over its values.
 void FoldPropertyMap(const PropertyMap& map,
                      std::map<std::string, PropertyStats>* props,
                      std::map<std::string, std::set<Value>>* values) {
   for (const auto& [key, value_set] : map.entries()) {
     if (value_set.empty()) continue;
-    bool first = true;
+    PropertyStats& stats = (*props)[key];
+    ++stats.count;
     for (const auto& value : value_set) {
-      FoldPropertyValue(key, value, first, props, values);
-      first = false;
+      (*values)[key].insert(value);
+      FoldRange(&stats, value);
     }
   }
 }
 
-/// True when the map holds at least one non-empty value set — only then
-/// does an object create per-label distribution buckets (so both
-/// collection paths create exactly the same buckets).
-bool HasAnyProperty(const PropertyMap& map) {
-  for (const auto& [key, value_set] : map.entries()) {
-    (void)key;
-    if (!value_set.empty()) return true;
+/// Folds one object's labels and properties into its class's label
+/// counts and distributions. Per-label buckets exist only for objects
+/// holding at least one non-empty value set.
+void FoldObject(const LabelSet& labels, const PropertyMap& props,
+                std::map<std::string, size_t>* label_counts,
+                std::map<std::string, PropertyStats>* global,
+                std::map<std::string, std::map<std::string, PropertyStats>>*
+                    by_label,
+                ValueSets* values) {
+  for (const auto& label : labels) ++(*label_counts)[label];
+  FoldPropertyMap(props, global, &values->global);
+  const bool any = std::any_of(
+      props.entries().begin(), props.entries().end(),
+      [](const auto& entry) { return !entry.second.empty(); });
+  if (!any) return;
+  for (const auto& label : labels) {
+    FoldPropertyMap(props, &(*by_label)[label], &values->by_label[label]);
   }
-  return false;
 }
 
-void ResolveDistinct(const std::map<std::string, std::set<Value>>& values,
-                     std::map<std::string, PropertyStats>* props) {
-  for (const auto& [key, set] : values) {
-    (*props)[key].distinct = set.size();
+void ResolveDistinct(
+    const ValueSets& values, std::map<std::string, PropertyStats>* global,
+    std::map<std::string, std::map<std::string, PropertyStats>>* by_label) {
+  for (const auto& [key, set] : values.global) {
+    (*global)[key].distinct = set.size();
+  }
+  for (const auto& [label, sets] : values.by_label) {
+    for (const auto& [key, set] : sets) {
+      (*by_label)[label][key].distinct = set.size();
+    }
   }
 }
 
-double AvgDegree(
-    const std::map<std::string, std::map<std::string, size_t>>& counts,
-    const std::string& endpoint_label, const std::string& edge_label,
-    size_t endpoint_count) {
+double AvgDegree(const Buckets& counts, const std::string& endpoint_label,
+                 const std::string& edge_label, size_t endpoint_count) {
   if (endpoint_count == 0) return 0.0;
   auto by_endpoint = counts.find(endpoint_label);
   if (by_endpoint == counts.end()) return 0.0;
@@ -89,9 +105,8 @@ double AvgDegree(
          static_cast<double>(endpoint_count);
 }
 
-size_t MaxDegree(
-    const std::map<std::string, std::map<std::string, size_t>>& maxima,
-    const std::string& endpoint_label, const std::string& edge_label) {
+size_t MaxDegree(const Buckets& maxima, const std::string& endpoint_label,
+                 const std::string& edge_label) {
   auto by_endpoint = maxima.find(endpoint_label);
   if (by_endpoint == maxima.end()) return 0;
   auto by_edge = by_endpoint->second.find(edge_label);
@@ -114,7 +129,7 @@ const PropertyStats* PropStatsFor(
 }
 
 /// Folds one typed column into the global and per-label distributions —
-/// the columnar mirror of FoldPropertyMap: one count per carrying cell,
+/// the columnar mirror of FoldObject: one count per carrying cell,
 /// distinct/range over the cell's values, per-label buckets created
 /// exactly for (label of a carrier, key) pairs.
 template <typename LabelIdsFn>
@@ -148,6 +163,67 @@ void SweepColumn(const GraphSnapshot& snap, const std::string& key,
   g.distinct = distinct.size();
   for (const auto& [label, set] : distinct_by_label) {
     (*by_label)[snap.LabelName(label)][key].distinct = set.size();
+  }
+}
+
+/// The [endpoint label][edge label] edge counts and per-node degree
+/// maxima of one direction, counted over label ids. Per node, the CSR
+/// half-edges of that direction are tallied into `degree`, one slot per
+/// edge label (slot 0 is the "" any-label bucket, slot l + 1 label l);
+/// the tallies fold into the row of the endpoint label being swept —
+/// first the "" row over every node, then one row per label over its
+/// index span. A row is written out, ids turned into names, only once
+/// it is complete, and only for buckets some edge landed in.
+void SweepDegrees(const GraphSnapshot& snap, bool outgoing, Buckets* counts,
+                  Buckets* maxima) {
+  const AdjacencyIndex& adj = snap.adjacency();
+  const size_t slots = snap.num_labels() + 1;
+  std::vector<size_t> degree(slots, 0);
+  std::vector<size_t> total(slots, 0);
+  std::vector<size_t> max(slots, 0);
+  std::vector<uint32_t> node_slots;
+  std::vector<uint32_t> row_slots;
+  auto tally = [&](uint32_t slot) {
+    if (degree[slot]++ == 0) node_slots.push_back(slot);
+  };
+  auto add_node = [&](DenseNodeIndex n) {
+    const auto [begin, end] = outgoing ? adj.Out(n) : adj.In(n);
+    for (const AdjacencyEntry* it = begin; it != end; ++it) {
+      tally(0);
+      for (const uint32_t l : snap.EdgeLabelIds(it->edge_dense)) tally(l + 1);
+    }
+    for (const uint32_t slot : node_slots) {
+      if (total[slot] == 0) row_slots.push_back(slot);
+      total[slot] += degree[slot];
+      max[slot] = std::max(max[slot], degree[slot]);
+      degree[slot] = 0;
+    }
+    node_slots.clear();
+  };
+  auto slot_name = [&](uint32_t slot) {
+    return slot == 0 ? std::string() : snap.LabelName(slot - 1);
+  };
+  auto write_row = [&](uint32_t endpoint_slot) {
+    if (row_slots.empty()) return;
+    const std::string endpoint = slot_name(endpoint_slot);
+    auto& count_row = (*counts)[endpoint];
+    auto& max_row = (*maxima)[endpoint];
+    for (const uint32_t slot : row_slots) {
+      const std::string edge_label = slot_name(slot);
+      count_row[edge_label] = total[slot];
+      max_row[edge_label] = max[slot];
+      total[slot] = 0;
+      max[slot] = 0;
+    }
+    row_slots.clear();
+  };
+  for (size_t n = 0; n < snap.num_nodes(); ++n) {
+    add_node(static_cast<DenseNodeIndex>(n));
+  }
+  write_row(0);
+  for (uint32_t l = 0; l < snap.num_labels(); ++l) {
+    for (const DenseNodeIndex n : snap.NodesWithLabel(l)) add_node(n);
+    write_row(l + 1);
   }
 }
 
@@ -198,16 +274,48 @@ const PropertyStats* GraphStats::EdgePropStatsFor(
 }
 
 GraphStats GraphStats::Collect(const PathPropertyGraph& graph) {
-  StatsCollector collector;
+  GraphStats stats;
+  ValueSets node_values;
+  ValueSets edge_values;
   graph.ForEachNode([&](NodeId id) {
-    collector.AddNode(graph.Labels(id), graph.Properties(id));
+    ++stats.num_nodes;
+    FoldObject(graph.Labels(id), graph.Properties(id),
+               &stats.node_label_counts, &stats.node_props,
+               &stats.node_props_by_label, &node_values);
   });
+  // Per-node [endpoint label][edge label] counters, folded into the
+  // per-bucket maxima below.
+  std::unordered_map<uint64_t, Buckets> out_degrees;
+  std::unordered_map<uint64_t, Buckets> in_degrees;
   graph.ForEachEdge([&](EdgeId id, NodeId src, NodeId dst) {
-    collector.AddEdge(graph.Labels(id), graph.Properties(id),
-                      graph.Labels(src), graph.Labels(dst), src, dst);
+    ++stats.num_edges;
+    const LabelSet& labels = graph.Labels(id);
+    FoldObject(labels, graph.Properties(id), &stats.edge_label_counts,
+               &stats.edge_props, &stats.edge_props_by_label, &edge_values);
+    CountEdgeBuckets(graph.Labels(src), labels, &stats.out_edge_counts);
+    CountEdgeBuckets(graph.Labels(dst), labels, &stats.in_edge_counts);
+    CountEdgeBuckets(graph.Labels(src), labels, &out_degrees[src.value()]);
+    CountEdgeBuckets(graph.Labels(dst), labels, &in_degrees[dst.value()]);
   });
-  graph.ForEachPath([&](PathId, const PathBody&) { collector.AddPath(); });
-  return collector.Finish();
+  graph.ForEachPath([&](PathId, const PathBody&) { ++stats.num_paths; });
+  ResolveDistinct(node_values, &stats.node_props, &stats.node_props_by_label);
+  ResolveDistinct(edge_values, &stats.edge_props, &stats.edge_props_by_label);
+  auto fold_maxima = [](const std::unordered_map<uint64_t, Buckets>& per_node,
+                        Buckets* maxima) {
+    for (const auto& [node, buckets] : per_node) {
+      (void)node;
+      for (const auto& [endpoint_label, by_edge] : buckets) {
+        auto& row = (*maxima)[endpoint_label];
+        for (const auto& [edge_label, count] : by_edge) {
+          size_t& slot = row[edge_label];
+          if (count > slot) slot = count;
+        }
+      }
+    }
+  };
+  fold_maxima(out_degrees, &stats.out_degree_max);
+  fold_maxima(in_degrees, &stats.in_degree_max);
+  return stats;
 }
 
 GraphStats GraphStats::CollectFromSnapshot(const GraphSnapshot& snap) {
@@ -217,7 +325,7 @@ GraphStats GraphStats::CollectFromSnapshot(const GraphSnapshot& snap) {
   stats.num_paths = snap.num_paths();
 
   // Label counts are the sizes of the per-label index spans; entries only
-  // for labels that occur on the object class (as the collector produces).
+  // for labels that occur on the object class.
   for (uint32_t l = 0; l < snap.num_labels(); ++l) {
     const auto nodes = snap.NodesWithLabel(l);
     if (!nodes.empty()) {
@@ -244,138 +352,10 @@ GraphStats GraphStats::CollectFromSnapshot(const GraphSnapshot& snap) {
         &stats.edge_props, &stats.edge_props_by_label);
   }
 
-  // Edge buckets and per-node degree counters. Label ids are assigned in
-  // sorted-name order, so translating a sorted id span gives the LabelSet
-  // the collector saw.
-  auto names_of = [&](GraphSnapshot::Span<uint32_t> ids) {
-    std::vector<std::string> names;
-    names.reserve(ids.size());
-    for (const uint32_t l : ids) names.push_back(snap.LabelName(l));
-    return LabelSet(std::move(names));
-  };
-  std::vector<LabelSet> node_labels(snap.num_nodes());
-  for (size_t n = 0; n < snap.num_nodes(); ++n) {
-    node_labels[n] = names_of(snap.NodeLabelIds(static_cast<DenseNodeIndex>(n)));
-  }
-  using Buckets = std::map<std::string, std::map<std::string, size_t>>;
-  std::vector<Buckets> out_deg(snap.num_nodes());
-  std::vector<Buckets> in_deg(snap.num_nodes());
-  for (size_t e = 0; e < snap.num_edges(); ++e) {
-    const LabelSet edge_labels =
-        names_of(snap.EdgeLabelIds(static_cast<DenseEdgeIndex>(e)));
-    const DenseNodeIndex src = snap.EdgeSrc(static_cast<DenseEdgeIndex>(e));
-    const DenseNodeIndex dst = snap.EdgeDst(static_cast<DenseEdgeIndex>(e));
-    CountEdgeBuckets(node_labels[src], edge_labels, &stats.out_edge_counts);
-    CountEdgeBuckets(node_labels[dst], edge_labels, &stats.in_edge_counts);
-    CountEdgeBuckets(node_labels[src], edge_labels, &out_deg[src]);
-    CountEdgeBuckets(node_labels[dst], edge_labels, &in_deg[dst]);
-  }
-  auto fold_maxima = [](const std::vector<Buckets>& per_node,
-                        Buckets* maxima) {
-    for (const Buckets& buckets : per_node) {
-      for (const auto& [endpoint_label, by_edge] : buckets) {
-        auto& out = (*maxima)[endpoint_label];
-        for (const auto& [edge_label, count] : by_edge) {
-          size_t& slot = out[edge_label];
-          if (count > slot) slot = count;
-        }
-      }
-    }
-  };
-  fold_maxima(out_deg, &stats.out_degree_max);
-  fold_maxima(in_deg, &stats.in_degree_max);
-  return stats;
-}
-
-void StatsCollector::AddNode(const LabelSet& labels,
-                             const PropertyMap& props) {
-  ++stats_.num_nodes;
-  for (const auto& label : labels) ++stats_.node_label_counts[label];
-  FoldPropertyMap(props, &stats_.node_props, &node_values_.global);
-  if (HasAnyProperty(props)) {
-    for (const auto& label : labels) {
-      FoldPropertyMap(props, &stats_.node_props_by_label[label],
-                      &node_values_.by_label[label]);
-    }
-  }
-}
-
-void StatsCollector::AddEdge(const LabelSet& edge_labels,
-                             const PropertyMap& props,
-                             const LabelSet& src_labels,
-                             const LabelSet& dst_labels, NodeId src,
-                             NodeId dst) {
-  ++stats_.num_edges;
-  for (const auto& label : edge_labels) ++stats_.edge_label_counts[label];
-  FoldPropertyMap(props, &stats_.edge_props, &edge_values_.global);
-  if (HasAnyProperty(props)) {
-    for (const auto& label : edge_labels) {
-      FoldPropertyMap(props, &stats_.edge_props_by_label[label],
-                      &edge_values_.by_label[label]);
-    }
-  }
-  CountEdgeBuckets(src_labels, edge_labels, &stats_.out_edge_counts);
-  CountEdgeBuckets(dst_labels, edge_labels, &stats_.in_edge_counts);
-  CountEdgeBuckets(src_labels, edge_labels, &out_degrees_[src.value()]);
-  CountEdgeBuckets(dst_labels, edge_labels, &in_degrees_[dst.value()]);
-}
-
-void StatsCollector::AddPath() { ++stats_.num_paths; }
-
-void StatsCollector::AddNodePropertyValue(const LabelSet& labels,
-                                          const std::string& key,
-                                          const Value& value,
-                                          bool is_new_key) {
-  FoldPropertyValue(key, value, is_new_key, &stats_.node_props,
-                    &node_values_.global);
-  for (const auto& label : labels) {
-    FoldPropertyValue(key, value, is_new_key,
-                      &stats_.node_props_by_label[label],
-                      &node_values_.by_label[label]);
-  }
-}
-
-void StatsCollector::AddEdgePropertyValue(const LabelSet& labels,
-                                          const std::string& key,
-                                          const Value& value,
-                                          bool is_new_key) {
-  FoldPropertyValue(key, value, is_new_key, &stats_.edge_props,
-                    &edge_values_.global);
-  for (const auto& label : labels) {
-    FoldPropertyValue(key, value, is_new_key,
-                      &stats_.edge_props_by_label[label],
-                      &edge_values_.by_label[label]);
-  }
-}
-
-GraphStats StatsCollector::Finish() const {
-  GraphStats stats = stats_;
-  ResolveDistinct(node_values_.global, &stats.node_props);
-  ResolveDistinct(edge_values_.global, &stats.edge_props);
-  for (const auto& [label, values] : node_values_.by_label) {
-    ResolveDistinct(values, &stats.node_props_by_label[label]);
-  }
-  for (const auto& [label, values] : edge_values_.by_label) {
-    ResolveDistinct(values, &stats.edge_props_by_label[label]);
-  }
-  // Per-node degree counters fold into the per-bucket maxima; the "" keys
-  // make out_degree_max[""][""] the global maximum degree.
-  auto fold_maxima =
-      [](const DegreeCounts& per_node,
-         std::map<std::string, std::map<std::string, size_t>>* maxima) {
-        for (const auto& [node, buckets] : per_node) {
-          (void)node;
-          for (const auto& [endpoint_label, by_edge] : buckets) {
-            auto& out = (*maxima)[endpoint_label];
-            for (const auto& [edge_label, count] : by_edge) {
-              size_t& slot = out[edge_label];
-              if (count > slot) slot = count;
-            }
-          }
-        }
-      };
-  fold_maxima(out_degrees_, &stats.out_degree_max);
-  fold_maxima(in_degrees_, &stats.in_degree_max);
+  SweepDegrees(snap, /*outgoing=*/true, &stats.out_edge_counts,
+               &stats.out_degree_max);
+  SweepDegrees(snap, /*outgoing=*/false, &stats.in_edge_counts,
+               &stats.in_degree_max);
   return stats;
 }
 

@@ -37,7 +37,8 @@ struct ExecutedBasic {
 
 /// EXPLAIN ANALYZE's record, keyed by the basic queries the renderer
 /// prints. Execution fills only keys already present, so EXISTS and ON
-/// subqueries (never rendered; EXISTS runs once per outer row) stay out.
+/// subqueries (never rendered; an EXISTS body runs on the first outer
+/// row that asks) stay out.
 using ExecutedPlans = std::map<const BasicQuery*, ExecutedBasic>;
 
 /// An empty record with one entry per basic query ExplainQuery renders:

@@ -1,7 +1,7 @@
 // GraphSnapshot tests: the frozen columnar image must agree with the
 // PathPropertyGraph it was built from on labels, topology, property
-// cells and label spans; stats collected by sweeping the columns must
-// match the incremental collector and the PPG walk; the compiled
+// cells and label spans; stats collected by sweeping the snapshot must
+// match the PPG scan oracle (GraphStats::Collect); the compiled
 // SnapshotPred must agree with NodeAdmits/EdgeAdmits; and the catalog
 // must cache one snapshot per graph and invalidate it on re-register.
 #include "graph/snapshot.h"
@@ -25,7 +25,6 @@ namespace {
 /// property, and a key carried by both a node and an edge.
 GraphBuilder MakeMixedGraph(IdAllocator* ids) {
   GraphBuilder b("mixed", ids);
-  b.EnableStatsCollection();
   const NodeId p0 = b.AddNode({"Person"}, {{"age", int64_t{30}},
                                            {"name", "alice"},
                                            {"score", 2.5}});
@@ -213,19 +212,67 @@ TEST(GraphSnapshot, CellSemanticsMatchValueComparisons) {
   EXPECT_FALSE(ok);
 }
 
-TEST(GraphSnapshot, StatsFromColumnsMatchAllCollectionPaths) {
+TEST(GraphSnapshot, StatsFromColumnsMatchFullScan) {
   IdAllocator ids;
   GraphBuilder b = MakeMixedGraph(&ids);
   const GraphSnapshot snap(b.graph());
-  const GraphStats from_columns = GraphStats::CollectFromSnapshot(snap);
-  EXPECT_EQ(from_columns, GraphStats::Collect(b.graph()));
-  EXPECT_EQ(from_columns, b.Stats());
+  EXPECT_EQ(GraphStats::CollectFromSnapshot(snap),
+            GraphStats::Collect(b.graph()));
 }
 
 TEST(GraphSnapshot, StatsFromColumnsMatchOnGeneratedGraph) {
   IdAllocator ids;
   snb::GeneratorOptions opts;
   opts.num_persons = 150;
+  const PathPropertyGraph g = snb::Generate(opts, &ids);
+  const GraphSnapshot snap(g);
+  EXPECT_EQ(GraphStats::CollectFromSnapshot(snap), GraphStats::Collect(g));
+}
+
+/// The label-id shapes the sweep must translate back exactly: an edge
+/// with two labels, a label on both nodes and edges, a node with three
+/// labels, int 1 next to double 1.0 on one key (also inside one
+/// multi-valued cell), isolated labelled nodes, a self loop and parallel
+/// edges between multi-labelled endpoints.
+TEST(GraphSnapshot, StatsFromColumnsMatchOnLabelStressGraph) {
+  IdAllocator ids;
+  GraphBuilder b("stress", &ids);
+  const NodeId tri = b.AddNode({"A", "B", "Shared"}, {{"x", int64_t{1}}});
+  const NodeId a = b.AddNode({"A"}, {{"x", 1.0}});
+  const NodeId both = b.AddNode({"B"}, {{"x", int64_t{2}}});
+  b.AddNodePropertyValue(both, "x", Value::Double(1.0));
+  b.AddNodePropertyValue(both, "x", Value::Int(1));
+  b.AddNode({"Lonely"}, {{"y", "alone"}});
+  b.AddNode({"Lonely", "A"});
+  b.AddNode({"Shared"});
+  const EdgeId two = b.AddEdge(tri, a, "Shared", {{"w", int64_t{1}}});
+  b.graph().AddLabel(two, "knows");
+  b.AddEdge(tri, a, "knows", {{"w", 1.0}});  // parallel
+  b.AddEdge(tri, both, "Shared");
+  b.AddEdge(both, both, "loop");  // self loop
+  b.AddEdge(a, tri, "");
+  const EdgeId again = b.AddEdge(both, tri, "knows");
+  b.graph().AddLabel(again, "Shared");
+
+  const GraphSnapshot snap(b.graph());
+  const GraphStats swept = GraphStats::CollectFromSnapshot(snap);
+  EXPECT_EQ(swept, GraphStats::Collect(b.graph()));
+  // Spot values: the two-label edge counts under both edge labels, the
+  // shared label keeps node and edge counts apart, isolated nodes carry
+  // no degree bucket.
+  EXPECT_EQ(swept.NodesWithLabel("Shared"), 2u);
+  EXPECT_EQ(swept.EdgesWithLabel("Shared"), 3u);
+  EXPECT_EQ(swept.EdgesWithLabel("knows"), 3u);
+  EXPECT_EQ(swept.MaxOutDegree("Shared", "knows"), 2u);
+  EXPECT_EQ(swept.MaxOutDegree("B", ""), 3u);
+  EXPECT_EQ(swept.out_edge_counts.count("Lonely"), 0u);
+  EXPECT_EQ(swept.node_props.at("x").count, 3u);
+}
+
+TEST(GraphSnapshot, StatsFromColumnsMatchOn2000PersonSnb) {
+  IdAllocator ids;
+  snb::GeneratorOptions opts;
+  opts.num_persons = 2000;
   const PathPropertyGraph g = snb::Generate(opts, &ids);
   const GraphSnapshot snap(g);
   EXPECT_EQ(GraphStats::CollectFromSnapshot(snap), GraphStats::Collect(g));

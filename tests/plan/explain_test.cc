@@ -117,8 +117,8 @@ TEST_F(ExplainAnalyzeTest, OnSubqueryScanRunsOnTheMaterializedLocation) {
   }
 }
 
-// EXISTS subqueries run once per outer row; only the enclosing Filter
-// renders (with the rows that survived it).
+// EXISTS subqueries run apart from the rendered plans; only the
+// enclosing Filter renders (with the rows that survived it).
 TEST_F(ExplainAnalyzeTest, ExistsBodyIsNotRendered) {
   EXPECT_EQ(
       Analyze("CONSTRUCT (m) MATCH (m:Person), (n:Person) "

@@ -14,6 +14,7 @@
 #include "eval/binding_ops.h"
 #include "eval/matcher.h"
 #include "graph/graph_builder.h"
+#include "graph/snapshot.h"
 #include "parser/parser.h"
 #include "plan/cost.h"
 #include "plan/executor.h"
@@ -31,7 +32,6 @@ namespace {
 /// (~|E|²/N), which is what makes the rewrite fire.
 void RegisterCycleGraph(GraphCatalog* catalog) {
   GraphBuilder b("cyc", catalog->ids());
-  b.EnableStatsCollection();
   std::vector<NodeId> ring;
   for (int i = 0; i < 40; ++i) ring.push_back(b.AddNode({"P"}));
   for (int i = 0; i < 40; ++i) {
@@ -46,8 +46,7 @@ void RegisterCycleGraph(GraphCatalog* catalog) {
     b.AddEdge(t2, t3, "e");
     b.AddEdge(t3, t1, "e");
   }
-  GraphStats stats = b.Stats();
-  catalog->RegisterGraph("cyc", b.Build(), std::move(stats));
+  catalog->RegisterGraph("cyc", b.Build());
 }
 
 constexpr const char* kTriangleQuery =
@@ -283,14 +282,14 @@ TEST_F(WcojTest, AnalyzeShowsMultiwayBeatsBinaryIntermediates) {
 TEST_F(WcojTest, RewriteSurvivesMissingMaxDegreeBuckets) {
   GraphCatalog doctored;
   GraphBuilder b("cyc", doctored.ids());
-  b.EnableStatsCollection();
   std::vector<NodeId> ring;
   for (int i = 0; i < 40; ++i) ring.push_back(b.AddNode({"P"}));
   for (int i = 0; i < 40; ++i) {
     b.AddEdge(ring[i], ring[(i + 1) % 40], "e");
     b.AddEdge(ring[i], ring[(i + 2) % 40], "e");
   }
-  GraphStats stats = b.Stats();
+  GraphStats stats =
+      GraphStats::CollectFromSnapshot(GraphSnapshot(b.graph()));
   stats.out_degree_max.clear();
   stats.in_degree_max.clear();
   doctored.RegisterGraph("cyc", b.Build(), std::move(stats));
@@ -313,7 +312,6 @@ TEST_F(WcojTest, RewriteSurvivesMissingMaxDegreeBuckets) {
 TEST(BushyJoinTest, TwoClustersProduceABushyTree) {
   GraphCatalog catalog;
   GraphBuilder b("bushy", catalog.ids());
-  b.EnableStatsCollection();
   // Cluster 1: 100 :S --:p--> 100 :M --:q--> :U nodes carrying u = i % 5
   // (the u = 1 filter keeps ~20); cluster 2 mirrors it over :T/:N/:V.
   // Each cluster join shrinks (≈3 rows estimated), while interleaving
@@ -333,8 +331,7 @@ TEST(BushyJoinTest, TwoClustersProduceABushyTree) {
     b.AddEdge(t, n, "r");
     b.AddEdge(n, v, "s");
   }
-  GraphStats stats = b.Stats();
-  catalog.RegisterGraph("bushy", b.Build(), std::move(stats));
+  catalog.RegisterGraph("bushy", b.Build());
   catalog.SetDefaultGraph("bushy");
 
   auto parsed = ParseQuery(
@@ -376,7 +373,6 @@ class BuildSideTest : public ::testing::Test {
  protected:
   BuildSideTest() {
     GraphBuilder b("skew", catalog.ids());
-    b.EnableStatsCollection();
     // 4 :Small nodes vs 200 :Big nodes sharing the key k — the Big chain
     // is ≫ 4× the Small chain, which trips the swap rule.
     for (int i = 0; i < 4; ++i) {
@@ -385,8 +381,7 @@ class BuildSideTest : public ::testing::Test {
     for (int i = 0; i < 200; ++i) {
       b.AddNode({"Big"}, {{"k", int64_t{i % 4}}});
     }
-    GraphStats stats = b.Stats();
-    catalog.RegisterGraph("skew", b.Build(), std::move(stats));
+    catalog.RegisterGraph("skew", b.Build());
     catalog.SetDefaultGraph("skew");
   }
 
