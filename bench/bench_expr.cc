@@ -5,13 +5,14 @@
 // (eval/expr_vec.h) on the three sites the PR wires up, at SNB 2k and
 // 20k persons, single-threaded:
 //
-//   *_ArithFilter      one non-specializable WHERE conjunct,
+//   *_ArithFilter      one arithmetic WHERE conjunct,
 //                      (n.age + n.score) * 2 > K, through
-//                      Matcher::FilterTable (the residual-WHERE stage);
+//                      Matcher::FilterByConjuncts as a single conjunct
+//                      (the residual-WHERE stage);
 //   *_ThreeConjunctAnd three AND-ed conjuncts through
 //                      Matcher::FilterByConjuncts (the pushdown stage;
-//                      specialization and stats reordering stay on, so
-//                      this measures the shipped pipeline end to end);
+//                      stats reordering stays on, so this measures the
+//                      shipped pipeline end to end);
 //   *_Projection       a computed projection batch, (n.age + n.score)/2,
 //                      row Eval loop vs VecProgram::EvalValues.
 //
@@ -107,7 +108,7 @@ constexpr const char* kArithFilter = "(n.age + n.score) * 2 > 80";
 const char* kConjuncts[] = {"n.age >= 20", "(n.age + n.score) * 2 > 80",
                             "n.age % 7 <> 3"};
 
-// --- non-specializable arithmetic WHERE (FilterTable) -----------------------
+// --- arithmetic residual WHERE (one conjunct) -------------------------------
 
 void RunArithFilter(benchmark::State& state, bool vectorized) {
   Fixture& fx = FixtureFor(static_cast<size_t>(state.range(0)));
@@ -117,8 +118,9 @@ void RunArithFilter(benchmark::State& state, bool vectorized) {
   // identical bytes, only faster).
   {
     Matcher row_matcher(MakeCtx(fx, false));
-    auto want = row_matcher.FilterTable(fx.persons, *expr, fx.graph);
-    auto got = matcher.FilterTable(fx.persons, *expr, fx.graph);
+    auto want = row_matcher.FilterByConjuncts(fx.persons, {expr.get()},
+                                              fx.graph);
+    auto got = matcher.FilterByConjuncts(fx.persons, {expr.get()}, fx.graph);
     if (!want.ok() || !got.ok() ||
         RenderRows(*want) != RenderRows(*got)) {
       std::fprintf(stderr, "arith filter results diverge\n");
@@ -128,7 +130,8 @@ void RunArithFilter(benchmark::State& state, bool vectorized) {
     state.counters["kept"] = static_cast<double>(got->NumRows());
   }
   for (auto _ : state) {
-    auto filtered = matcher.FilterTable(fx.persons, *expr, fx.graph);
+    auto filtered =
+        matcher.FilterByConjuncts(fx.persons, {expr.get()}, fx.graph);
     benchmark::DoNotOptimize(filtered);
   }
   state.counters["rows"] = static_cast<double>(fx.persons.NumRows());

@@ -377,6 +377,7 @@ enum class OpCode : uint8_t {
   kConst,      // every row gets the same cell
   kLoadVar,    // binding-column load
   kLoadProp,   // property gather through snapshot typed columns
+  kPropCompare,  // fused `x.k ⊙ literal` (property read as the left side)
   kLabelTest,  // x:ℓ1|ℓ2
   kNot,
   kNeg,
@@ -394,7 +395,8 @@ struct Node {
   // kConst: an encoded value, or a bare tag when const_val is unset.
   Tag const_tag = Tag::kEmpty;
   std::unique_ptr<Value> const_val;
-  // kLoadVar / kLoadProp / kLabelTest
+  // kLoadVar / kLoadProp / kPropCompare / kLabelTest (kPropCompare's
+  // literal is const_val, unset for ⟦null⟧ = ∅)
   size_t col = BindingTable::kNpos;
   const GraphSnapshot* snap = nullptr;
   const GraphSnapshot::PropertyColumn* node_col = nullptr;
@@ -405,7 +407,86 @@ struct Node {
   int else_node = -1;
 };
 
+// Locates σ(x, k) of row r for a property node: returns the snapshot
+// column holding it with *idx set, or null with *direct set to the cell
+// the row evaluates to without one (∅, or a fallback for paths).
+const GraphSnapshot::PropertyColumn* LocateProp(const Node& node,
+                                                const Column& col, size_t r,
+                                                size_t* idx, Cell* direct) {
+  *direct = {Tag::kEmpty, 0};
+  switch (col.KindAt(r)) {
+    case Datum::Kind::kNode: {
+      const AdjacencyIndex& adj = node.snap->adjacency();
+      const NodeId nid = col.NodeAt(r);
+      if (node.node_col == nullptr || !adj.Contains(nid)) return nullptr;
+      *idx = adj.IndexOf(nid);
+      return node.node_col;
+    }
+    case Datum::Kind::kEdge: {
+      if (node.edge_col == nullptr) return nullptr;
+      const DenseEdgeIndex e = node.snap->FindEdge(col.EdgeAt(r));
+      if (e == GraphSnapshot::kNoEdge) return nullptr;
+      *idx = e;
+      return node.edge_col;
+    }
+    case Datum::Kind::kPath:
+      // Stored-path σ and the virtual cost/length need the row evaluator.
+      *direct = Fallback();
+      return nullptr;
+    default:
+      return nullptr;  // unbound, or σ over literals/lists: ∅
+  }
+}
+
 }  // namespace
+
+bool SplitPropertyLiteralCompare(const Expr& e, const Expr** prop,
+                                 const Expr** lit, BinaryOp* op) {
+  if (e.kind != Expr::Kind::kBinary) return false;
+  switch (e.binary_op) {
+    case BinaryOp::kEq:
+    case BinaryOp::kNe:
+    case BinaryOp::kLt:
+    case BinaryOp::kLe:
+    case BinaryOp::kGt:
+    case BinaryOp::kGe:
+      break;
+    default:
+      return false;
+  }
+  const Expr* a = e.args[0].get();
+  const Expr* b = e.args[1].get();
+  *op = e.binary_op;
+  if (a->kind == Expr::Kind::kProperty && b->kind == Expr::Kind::kLiteral) {
+    *prop = a;
+    *lit = b;
+    return true;
+  }
+  if (a->kind != Expr::Kind::kLiteral || b->kind != Expr::Kind::kProperty) {
+    return false;
+  }
+  *prop = b;
+  *lit = a;
+  // Literal on the left: mirror the order comparisons (= and <> are
+  // symmetric).
+  switch (e.binary_op) {
+    case BinaryOp::kLt:
+      *op = BinaryOp::kGt;
+      break;
+    case BinaryOp::kGt:
+      *op = BinaryOp::kLt;
+      break;
+    case BinaryOp::kLe:
+      *op = BinaryOp::kGe;
+      break;
+    case BinaryOp::kGe:
+      *op = BinaryOp::kLe;
+      break;
+    default:
+      break;
+  }
+  return true;
+}
 
 struct VecProgram::Impl {
   const Expr* expr = nullptr;
@@ -431,6 +512,21 @@ struct VecProgram::Impl {
     return Add(std::move(n));
   }
 
+  // Binds *n to the snapshot columns of property `prop`; false when the
+  // variable is unbound or no graph resolves (σ is then ∅ on every row).
+  static bool BindProperty(const Expr& prop, const BindingTable& schema,
+                           const ExprEvaluator& eval,
+                           const SnapshotFn& snapshots, Node* n) {
+    n->col = schema.ColumnIndex(prop.var);
+    if (n->col == BindingTable::kNpos) return false;
+    const PathPropertyGraph* graph = eval.GraphFor(schema, prop.var);
+    if (graph == nullptr) return false;
+    n->snap = &snapshots(*graph);
+    n->node_col = n->snap->NodeColumn(prop.key);
+    n->edge_col = n->snap->EdgeColumn(prop.key);
+    return true;
+  }
+
   // Returns the compiled node id, or -1 when the subtree needs the full
   // row evaluator (callers then keep the row path for the whole
   // expression).
@@ -450,17 +546,11 @@ struct VecProgram::Impl {
         return Add(std::move(n));
       }
       case Expr::Kind::kProperty: {
-        const size_t col = schema.ColumnIndex(e.var);
-        // σ on an unbound variable is ∅ for every row.
-        if (col == BindingTable::kNpos) return AddConst(Tag::kEmpty);
-        const PathPropertyGraph* graph = eval.GraphFor(schema, e.var);
-        if (graph == nullptr) return AddConst(Tag::kEmpty);
         Node n;
+        if (!BindProperty(e, schema, eval, snapshots, &n)) {
+          return AddConst(Tag::kEmpty);
+        }
         n.op = OpCode::kLoadProp;
-        n.col = col;
-        n.snap = &snapshots(*graph);
-        n.node_col = n.snap->NodeColumn(e.key);
-        n.edge_col = n.snap->EdgeColumn(e.key);
         return Add(std::move(n));
       }
       case Expr::Kind::kLabelTest: {
@@ -489,6 +579,17 @@ struct VecProgram::Impl {
         return Add(std::move(n));
       }
       case Expr::Kind::kBinary: {
+        const Expr* prop = nullptr;
+        const Expr* lit = nullptr;
+        Node fused;
+        if (SplitPropertyLiteralCompare(e, &prop, &lit, &fused.bop) &&
+            BindProperty(*prop, schema, eval, snapshots, &fused)) {
+          fused.op = OpCode::kPropCompare;
+          if (!lit->value.is_null()) {
+            fused.const_val = std::make_unique<Value>(lit->value);
+          }
+          return Add(std::move(fused));
+        }
         const int a = CompileNode(*e.args[0], schema, eval, snapshots);
         if (a < 0) return -1;
         const int b = CompileNode(*e.args[1], schema, eval, snapshots);
@@ -588,41 +689,41 @@ struct VecProgram::Impl {
       }
       case OpCode::kLoadProp: {
         const Column& col = table.ColumnAt(node.col);
-        const AdjacencyIndex& adj = node.snap->adjacency();
         for (size_t i = 0; i < n; ++i) {
-          const size_t r = rows[i];
-          switch (col.KindAt(r)) {
-            case Datum::Kind::kUnbound:
-              out[i] = {Tag::kEmpty, 0};
-              break;
-            case Datum::Kind::kNode: {
-              const NodeId nid = col.NodeAt(r);
-              if (node.node_col == nullptr || !adj.Contains(nid)) {
-                out[i] = {Tag::kEmpty, 0};  // non-carrier or non-member
-              } else {
-                out[i] = GatherCell(*node.node_col, adj.IndexOf(nid),
-                                    *node.snap, s);
-              }
-              break;
-            }
-            case Datum::Kind::kEdge: {
-              const DenseEdgeIndex e =
-                  node.edge_col == nullptr
-                      ? GraphSnapshot::kNoEdge
-                      : node.snap->FindEdge(col.EdgeAt(r));
-              out[i] = e == GraphSnapshot::kNoEdge
-                           ? Cell{Tag::kEmpty, 0}
-                           : GatherCell(*node.edge_col, e, *node.snap, s);
-              break;
-            }
-            case Datum::Kind::kPath:
-              // Stored-path σ and the virtual cost/length need the row
-              // evaluator.
-              out[i] = Fallback();
-              break;
-            default:
-              out[i] = {Tag::kEmpty, 0};  // σ over literals/lists = ∅
-              break;
+          size_t idx = 0;
+          Cell direct;
+          const GraphSnapshot::PropertyColumn* pc =
+              LocateProp(node, col, rows[i], &idx, &direct);
+          out[i] = pc == nullptr ? direct : GatherCell(*pc, idx, *node.snap, s);
+        }
+        break;
+      }
+      case OpCode::kPropCompare: {
+        const Column& col = table.ColumnAt(node.col);
+        const Cell lit = node.const_val != nullptr
+                             ? EncodeValue(*node.const_val, s)
+                             : Cell{Tag::kEmpty, 0};
+        // String (in)equality reads the pool string in place: no gathered
+        // cell, no Scratch::strs push per row.
+        const bool str_eq =
+            lit.tag == Tag::kString &&
+            (node.bop == BinaryOp::kEq || node.bop == BinaryOp::kNe);
+        const std::string_view lit_str =
+            str_eq ? s->strs[lit.slot] : std::string_view();
+        for (size_t i = 0; i < n; ++i) {
+          size_t idx = 0;
+          Cell direct;
+          const GraphSnapshot::PropertyColumn* pc =
+              LocateProp(node, col, rows[i], &idx, &direct);
+          if (pc == nullptr) {
+            out[i] = CompareOp(node.bop, direct, lit, s);
+          } else if (str_eq &&
+                     pc->KindAt(idx) == GraphSnapshot::PropKind::kString) {
+            const bool eq = node.snap->StringAt(pc->StringIdAt(idx)) == lit_str;
+            out[i] = BoolCell(eq == (node.bop == BinaryOp::kEq));
+          } else {
+            out[i] = CompareOp(node.bop, GatherCell(*pc, idx, *node.snap, s),
+                               lit, s);
           }
         }
         break;

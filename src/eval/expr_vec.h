@@ -16,6 +16,10 @@
 //     indices against the snapshot per row, with column pointers bound
 //     once at compile time).
 //
+// A comparison `x.k ⊙ literal` compiles to one fused opcode that reads
+// the snapshot cell in place; string (in)equality compares the pool
+// string with the literal without gathering a cell at all.
+//
 // Kernels never construct a Status: any row whose evaluation could
 // error (type errors, division by zero, path-valued operands) is tagged
 // as a fallback row and replayed through the row evaluator in ascending
@@ -44,6 +48,13 @@
 #include "graph/snapshot.h"
 
 namespace gcore {
+
+/// Splits a comparison `x.k ⊙ literal` (⊙ ∈ = <> < <= > >=, literal on
+/// either side) into its property and literal operands and the operator
+/// as read with the property on the left. False for every other shape.
+/// VecProgram compiles this shape to one fused column-scan opcode.
+bool SplitPropertyLiteralCompare(const Expr& e, const Expr** prop,
+                                 const Expr** lit, BinaryOp* op);
 
 class VecProgram {
  public:

@@ -92,10 +92,6 @@ Status CheckOptionalVariableSharing(const MatchClause& match) {
   return Status::OK();
 }
 
-namespace {
-const std::vector<PropPattern> kNoProps;
-}  // namespace
-
 SnapshotPred::SnapshotPred(
     const GraphSnapshot& snap, bool node_side,
     const std::vector<std::vector<std::string>>& label_groups,
@@ -115,16 +111,22 @@ SnapshotPred::SnapshotPred(
     groups_.push_back(std::move(ids));
   }
   for (const auto& p : props) {
-    if (p.mode != PropPattern::Mode::kFilter) continue;
-    if (p.value->kind != Expr::Kind::kLiteral) continue;  // row-dependent
+    if (!IsLiteralFilter(p)) continue;  // row-dependent or bind-mode
     const GraphSnapshot::PropertyColumn* col =
         node_side ? snap.NodeColumn(p.key) : snap.EdgeColumn(p.key);
+    const Value& v = p.value->value;
+    if (v.is_null()) {
+      // ⟦null⟧ = ∅: admits exactly the objects with σ(x, key) = ∅, which
+      // is every object when no member carries the key.
+      if (col != nullptr) filters_.emplace_back(col, nullptr);
+      continue;
+    }
     if (col == nullptr) {
-      // σ(x, key) = ∅ for every member: Contains can never hold.
+      // σ(x, key) = ∅ for every member: v ∈ σ can never hold.
       never_ = true;
       return;
     }
-    filters_.emplace_back(col, &p.value->value);
+    filters_.emplace_back(col, &v);
   }
   if (node_side) {
     size_t best = ~size_t{0};
@@ -150,11 +152,6 @@ SnapshotPred SnapshotPred::ForEdge(const GraphSnapshot& snap,
                       edge.props);
 }
 
-SnapshotPred SnapshotPred::ForEdgeLabels(const GraphSnapshot& snap,
-                                         const EdgePattern& edge) {
-  return SnapshotPred(snap, /*node_side=*/false, edge.label_groups, kNoProps);
-}
-
 bool SnapshotPred::Admits(uint32_t idx) const {
   if (never_) return false;
   for (const auto& ids : groups_) {
@@ -169,9 +166,27 @@ bool SnapshotPred::Admits(uint32_t idx) const {
     if (!any) return false;
   }
   for (const auto& [col, v] : filters_) {
-    if (!snap_->CellContains(*col, idx, *v)) return false;
+    if (v == nullptr ? !col->AbsentAt(idx)
+                     : !snap_->CellContains(*col, idx, *v)) {
+      return false;
+    }
   }
   return true;
+}
+
+bool SnapshotPred::AdmitsNonMember() const {
+  // λ and σ are empty: no label group holds, and only the null-literal
+  // (absence) filters do.
+  if (never_ || !groups_.empty()) return false;
+  for (const auto& [col, v] : filters_) {
+    if (v != nullptr) return false;
+  }
+  return true;
+}
+
+bool IsLiteralFilter(const PropPattern& p) {
+  return p.mode == PropPattern::Mode::kFilter && p.value != nullptr &&
+         p.value->kind == Expr::Kind::kLiteral;
 }
 
 Matcher::Matcher(MatcherContext ctx) : ctx_(std::move(ctx)) {}
@@ -303,27 +318,6 @@ bool Matcher::LabelsMatch(
   return true;
 }
 
-bool Matcher::EdgeAdmits(const EdgePattern& edge, EdgeId id,
-                         const PathPropertyGraph& graph) const {
-  const GraphSnapshot& snap = Snapshot(graph);
-  const SnapshotPred pred = SnapshotPred::ForEdge(snap, edge);
-  const DenseEdgeIndex e = snap.FindEdge(id);
-  // A non-member has empty λ/σ: it admits exactly when the pattern
-  // imposes nothing (the PPG accessors' missing-id semantics).
-  if (e == GraphSnapshot::kNoEdge) return pred.unconstrained();
-  return pred.Admits(e);
-}
-
-Result<bool> Matcher::NodeAdmits(const NodePattern& node, NodeId id,
-                                 const PathPropertyGraph& graph) {
-  // Filter-mode props are checked here; bind-mode props are applied by
-  // ApplyPropPatterns after the column exists.
-  const GraphSnapshot& snap = Snapshot(graph);
-  const SnapshotPred pred = SnapshotPred::ForNode(snap, node);
-  if (!snap.adjacency().Contains(id)) return pred.unconstrained();
-  return pred.Admits(snap.adjacency().IndexOf(id));
-}
-
 Result<BindingTable> Matcher::MatchStartNode(const NodePattern& node,
                                              const PathPropertyGraph& graph,
                                              const std::string& graph_name,
@@ -361,6 +355,8 @@ Result<BindingTable> Matcher::ApplyPropPatterns(
     const std::vector<PropPattern>& props, const PathPropertyGraph& graph) {
   ExprEvaluator eval = MakeEvaluator(&graph);
   for (const auto& p : props) {
+    // Literal filters were decided by the caller's SnapshotPred.
+    if (IsLiteralFilter(p)) continue;
     const size_t obj_col = table.ColumnIndex(var);
     if (obj_col == BindingTable::kNpos) {
       return Status::BindError("property pattern on unbound variable " + var);
@@ -421,10 +417,7 @@ Result<BindingTable> Matcher::ExpandEdgeHop(
   }
   const GraphSnapshot& snap = Snapshot(graph);
   const AdjacencyIndex& adj = snap.adjacency();
-  // Labels only, matching the pre-snapshot inline check: literal edge
-  // props are applied by ApplyPropPatterns below with expression
-  // semantics (null literal = ∅), which are not Contains semantics.
-  const SnapshotPred edge_pred = SnapshotPred::ForEdgeLabels(snap, edge);
+  const SnapshotPred edge_pred = SnapshotPred::ForEdge(snap, edge);
   const SnapshotPred to_pred = SnapshotPred::ForNode(snap, to);
 
   BindingTable next(table.columns());
@@ -500,7 +493,7 @@ Result<BindingTable> Matcher::ExpandPathHop(
   const GraphSnapshot& snap = Snapshot(graph);
   const SnapshotPred to_pred = SnapshotPred::ForNode(snap, to);
   auto to_admits = [&](NodeId target) {
-    if (!snap.adjacency().Contains(target)) return to_pred.unconstrained();
+    if (!snap.adjacency().Contains(target)) return to_pred.AdmitsNonMember();
     return to_pred.Admits(snap.adjacency().IndexOf(target));
   };
   BindingTable next(table.columns());
@@ -562,7 +555,7 @@ Result<BindingTable> Matcher::ExpandPathHop(
         }
       });
     }
-    return next;
+    return ApplyPropPatterns(std::move(next), to_var, to.props, graph);
   }
 
   if (path.rpq == nullptr) {
@@ -836,7 +829,7 @@ Result<BindingTable> Matcher::ExpandPathHop(
     case PathPattern::Mode::kStoredMatch:
       break;  // handled above
   }
-  return next;
+  return ApplyPropPatterns(std::move(next), to_var, to.props, graph);
 }
 
 Result<BindingTable> Matcher::ApplyPushdownFilters(
@@ -849,142 +842,6 @@ Result<BindingTable> Matcher::ApplyPushdownFilters(
 
 namespace {
 
-/// One pushed conjunct of the shape `x.key CMP literal` (either operand
-/// order) compiled against the typed property columns: the per-row test
-/// reads one kind byte and one 64-bit slot instead of materializing
-/// ValueSets through the expression evaluator.
-struct ColumnFilterSpec {
-  /// Normalized so the property is the left operand (order ops flip).
-  BinaryOp op{};
-  size_t obj_col = 0;
-  const GraphSnapshot* snap = nullptr;
-  /// Columns of the key over each object class; null = no carrier.
-  const GraphSnapshot::PropertyColumn* node_col = nullptr;
-  const GraphSnapshot::PropertyColumn* edge_col = nullptr;
-  /// Null when the literal is `null`, which evaluates to the empty set
-  /// (so equality means "property absent").
-  const Value* literal = nullptr;
-};
-
-bool IsComparisonOp(BinaryOp op) {
-  return op == BinaryOp::kEq || op == BinaryOp::kNe || op == BinaryOp::kLt ||
-         op == BinaryOp::kLe || op == BinaryOp::kGt || op == BinaryOp::kGe;
-}
-
-BinaryOp FlipComparison(BinaryOp op) {
-  switch (op) {
-    case BinaryOp::kLt:
-      return BinaryOp::kGt;
-    case BinaryOp::kGt:
-      return BinaryOp::kLt;
-    case BinaryOp::kLe:
-      return BinaryOp::kGe;
-    case BinaryOp::kGe:
-      return BinaryOp::kLe;
-    default:
-      return op;  // eq/ne are symmetric
-  }
-}
-
-bool TrySpecializeConjunct(const Matcher& matcher, const Expr& conjunct,
-                           const BindingTable& table,
-                           const ExprEvaluator& eval,
-                           ColumnFilterSpec* spec) {
-  if (conjunct.kind != Expr::Kind::kBinary) return false;
-  if (!IsComparisonOp(conjunct.binary_op)) return false;
-  const Expr* a = conjunct.args[0].get();
-  const Expr* b = conjunct.args[1].get();
-  const Expr* prop = nullptr;
-  const Expr* lit = nullptr;
-  bool flipped = false;
-  if (a->kind == Expr::Kind::kProperty && b->kind == Expr::Kind::kLiteral) {
-    prop = a;
-    lit = b;
-  } else if (a->kind == Expr::Kind::kLiteral &&
-             b->kind == Expr::Kind::kProperty) {
-    prop = b;
-    lit = a;
-    flipped = true;
-  } else {
-    return false;
-  }
-  spec->obj_col = table.ColumnIndex(prop->var);
-  if (spec->obj_col == BindingTable::kNpos) return false;
-  // σ must be read from the graph the evaluator would resolve for this
-  // column (provenance, else the stage default); null means ∅ for every
-  // row — rare enough to leave to the generic path.
-  const PathPropertyGraph* resolved = eval.GraphFor(table, prop->var);
-  if (resolved == nullptr) return false;
-  spec->op = flipped ? FlipComparison(conjunct.binary_op) : conjunct.binary_op;
-  spec->snap = &matcher.Snapshot(*resolved);
-  spec->node_col = spec->snap->NodeColumn(prop->key);
-  spec->edge_col = spec->snap->EdgeColumn(prop->key);
-  spec->literal = lit->value.is_null() ? nullptr : &lit->value;
-  return true;
-}
-
-/// The specialized per-row test; `fallback` is set for path-valued cells
-/// (virtual cost/length properties), which take the generic evaluator.
-bool SpecKeepsRow(const ColumnFilterSpec& s, const Column& cells, size_t r,
-                  bool* fallback) {
-  const GraphSnapshot::PropertyColumn* col = nullptr;
-  uint32_t idx = 0;
-  bool member = false;
-  switch (cells.KindAt(r)) {
-    case Datum::Kind::kNode: {
-      const NodeId id = cells.NodeAt(r);
-      if (s.snap->adjacency().Contains(id)) {
-        member = true;
-        col = s.node_col;
-        idx = s.snap->adjacency().IndexOf(id);
-      }
-      break;
-    }
-    case Datum::Kind::kEdge: {
-      const DenseEdgeIndex e = s.snap->FindEdge(cells.EdgeAt(r));
-      if (e != GraphSnapshot::kNoEdge) {
-        member = true;
-        col = s.edge_col;
-        idx = e;
-      }
-      break;
-    }
-    case Datum::Kind::kPath:
-      *fallback = true;
-      return false;
-    default:
-      break;  // unbound / value / list objects: σ is ∅
-  }
-  const bool absent = !member || col == nullptr || col->AbsentAt(idx);
-  switch (s.op) {
-    case BinaryOp::kEq:
-    case BinaryOp::kNe: {
-      const bool eq =
-          s.literal == nullptr
-              ? absent  // σ(x, k) == ∅
-              : !absent && s.snap->CellEqualsSingleton(*col, idx, *s.literal);
-      return s.op == BinaryOp::kEq ? eq : !eq;
-    }
-    default: {
-      // Order comparisons: both sides must be singletons, else FALSE.
-      if (s.literal == nullptr || absent) return false;
-      bool ok = false;
-      const int cmp = s.snap->CompareCellSingleton(*col, idx, *s.literal, &ok);
-      if (!ok) return false;
-      switch (s.op) {
-        case BinaryOp::kLt:
-          return cmp < 0;
-        case BinaryOp::kLe:
-          return cmp <= 0;
-        case BinaryOp::kGt:
-          return cmp > 0;
-        default:
-          return cmp >= 0;
-      }
-    }
-  }
-}
-
 /// Estimated fraction of rows a conjunct keeps, from the graph's column
 /// statistics (graph/stats.h). Only `x.key CMP literal` shapes get a real
 /// estimate — the carrier fraction scaled by 1/distinct for equality and
@@ -992,25 +849,10 @@ bool SpecKeepsRow(const ColumnFilterSpec& s, const Column& cells, size_t r,
 /// comparisons. Everything else answers the textbook 0.5, so an unknown
 /// conjunct is never hoisted ahead of a demonstrably selective one.
 double EstimateConjunctSelectivity(const Expr& c, const GraphStats& stats) {
-  if (c.kind != Expr::Kind::kBinary || !IsComparisonOp(c.binary_op)) {
-    return 0.5;
-  }
-  const Expr* a = c.args[0].get();
-  const Expr* b = c.args[1].get();
   const Expr* prop = nullptr;
   const Expr* lit = nullptr;
-  BinaryOp op = c.binary_op;
-  if (a->kind == Expr::Kind::kProperty && b->kind == Expr::Kind::kLiteral) {
-    prop = a;
-    lit = b;
-  } else if (a->kind == Expr::Kind::kLiteral &&
-             b->kind == Expr::Kind::kProperty) {
-    prop = b;
-    lit = a;
-    op = FlipComparison(op);
-  } else {
-    return 0.5;
-  }
+  BinaryOp op{};
+  if (!SplitPropertyLiteralCompare(c, &prop, &lit, &op)) return 0.5;
   // The binding's object class is unknown here; take the key's stats from
   // whichever side carries it (keys rarely straddle both classes).
   const PropertyStats* ps = nullptr;
@@ -1072,9 +914,10 @@ Result<BindingTable> Matcher::FilterByConjuncts(
     const PathPropertyGraph* graph) {
   if (conjuncts.empty()) return table;
   ExprEvaluator eval = MakeEvaluator(graph);
-  // Conjunct-at-a-time over the surviving row set: property-vs-literal
-  // comparisons scan the snapshot's typed columns, everything else runs
-  // the generic evaluator — only on rows still alive (short-circuit).
+  // Conjunct-at-a-time over the surviving row set, only on rows still
+  // alive (short-circuit): each conjunct runs its compiled VecProgram
+  // when it compiles (`x.k ⊙ literal` as one fused column scan), the row
+  // evaluator otherwise.
   auto gather = [](const BindingTable& t, const std::vector<size_t>& rows) {
     BindingTable g(t.columns());
     for (const auto& [v, gr] : t.column_graphs()) g.SetColumnGraph(v, gr);
@@ -1084,13 +927,21 @@ Result<BindingTable> Matcher::FilterByConjuncts(
   // Evaluation-order pre-pass (only with column statistics on — the seed
   // order is the ablation baseline): rank conjuncts by estimated
   // selectivity gain per unit cost, (sel − 1) / cost, so a cheap
-  // column-specialized filter that drops most rows runs before an
+  // fused column filter that drops most rows runs before an
   // expensive generic predicate that keeps most of them. The sort is
   // stable: conjuncts the statistics cannot tell apart stay in source
   // order. Reordering is semantics-preserving for the *result* (AND is
   // commutative over these error-free rows) but can change which
   // erroring row is reached first — the documented trade of this knob.
   std::vector<const Expr*> ordered(conjuncts);
+  // Each conjunct's program (null: the row evaluator), looked up once:
+  // the compaction below keeps the schema, so it stays valid all call.
+  std::vector<std::shared_ptr<const VecProgram>> progs(ordered.size());
+  if (ctx_.enable_vectorized_exprs) {
+    for (size_t i = 0; i < ordered.size(); ++i) {
+      progs[i] = VecProgramFor(*ordered[i], table, eval, graph);
+    }
+  }
   if (ctx_.use_column_stats && graph != nullptr && ctx_.catalog != nullptr &&
       ordered.size() > 1) {
     auto stats = ctx_.catalog->Stats(graph->name());
@@ -1098,13 +949,15 @@ Result<BindingTable> Matcher::FilterByConjuncts(
       std::vector<double> rank(ordered.size());
       for (size_t i = 0; i < ordered.size(); ++i) {
         const double sel = EstimateConjunctSelectivity(*ordered[i], **stats);
-        ColumnFilterSpec spec;
         double cost = 25.0;  // generic row-at-a-time evaluation
-        if (TrySpecializeConjunct(*this, *ordered[i], table, eval, &spec)) {
-          cost = 1.0;  // typed column probe
-        } else if (ctx_.enable_vectorized_exprs &&
-                   VecProgramFor(*ordered[i], table, eval, graph) != nullptr) {
-          cost = 4.0;  // vectorized kernels
+        if (progs[i] != nullptr) {
+          const Expr* prop = nullptr;
+          const Expr* lit = nullptr;
+          BinaryOp op{};
+          // A fused column scan, or general vectorized kernels.
+          cost = SplitPropertyLiteralCompare(*ordered[i], &prop, &lit, &op)
+                     ? 1.0
+                     : 4.0;
         }
         rank[i] = (sel - 1.0) / cost;
       }
@@ -1113,8 +966,14 @@ Result<BindingTable> Matcher::FilterByConjuncts(
       std::stable_sort(order.begin(), order.end(),
                        [&rank](size_t a, size_t b) { return rank[a] < rank[b]; });
       std::vector<const Expr*> sorted(ordered.size());
-      for (size_t i = 0; i < order.size(); ++i) sorted[i] = ordered[order[i]];
+      std::vector<std::shared_ptr<const VecProgram>> sorted_progs(
+          ordered.size());
+      for (size_t i = 0; i < order.size(); ++i) {
+        sorted[i] = ordered[order[i]];
+        sorted_progs[i] = std::move(progs[order[i]]);
+      }
       ordered = std::move(sorted);
+      progs = std::move(sorted_progs);
     }
   }
   std::vector<size_t> kept;
@@ -1125,46 +984,28 @@ Result<BindingTable> Matcher::FilterByConjuncts(
     if (live == 0) break;
     std::vector<size_t> next;
     next.reserve(live);
-    ColumnFilterSpec spec;
-    if (TrySpecializeConjunct(*this, *conjunct, table, eval, &spec)) {
-      const Column& cells = table.ColumnAt(spec.obj_col);
-      for (size_t i = 0; i < live; ++i) {
-        const size_t r = narrowed ? kept[i] : i;
-        bool fallback = false;
-        bool keep = SpecKeepsRow(spec, cells, r, &fallback);
-        if (fallback) {
-          GCORE_ASSIGN_OR_RETURN(keep,
-                                 eval.EvalPredicate(*conjunct, table, r));
-        }
-        if (keep) next.push_back(r);
+    // Vectorized kernels over the live selection when the conjunct
+    // compiles (eval/expr_vec.h), the row evaluator otherwise — row-for-
+    // row identical either way, including which row's error surfaces
+    // first (kernel-undecidable rows replay through the same
+    // EvalPredicate in the same order).
+    const VecProgram* prog = progs[ci].get();
+    if (prog != nullptr) {
+      if (narrowed) {
+        GCORE_RETURN_NOT_OK(
+            prog->FilterRows(table, kept.data(), live, eval, &next));
+      } else {
+        std::vector<size_t> rows(live);
+        std::iota(rows.begin(), rows.end(), size_t{0});
+        GCORE_RETURN_NOT_OK(
+            prog->FilterRows(table, rows.data(), live, eval, &next));
       }
     } else {
-      // Generic conjunct: vectorized kernels over the live selection when
-      // the expression compiles (eval/expr_vec.h), the row evaluator
-      // otherwise — and row-for-row identical either way, including which
-      // row's error surfaces first (kernel-undecidable rows replay
-      // through the same EvalPredicate in the same order).
-      std::shared_ptr<const VecProgram> prog =
-          ctx_.enable_vectorized_exprs
-              ? VecProgramFor(*conjunct, table, eval, graph)
-              : nullptr;
-      if (prog != nullptr) {
-        if (narrowed) {
-          GCORE_RETURN_NOT_OK(
-              prog->FilterRows(table, kept.data(), live, eval, &next));
-        } else {
-          std::vector<size_t> rows(live);
-          std::iota(rows.begin(), rows.end(), size_t{0});
-          GCORE_RETURN_NOT_OK(
-              prog->FilterRows(table, rows.data(), live, eval, &next));
-        }
-      } else {
-        for (size_t i = 0; i < live; ++i) {
-          const size_t r = narrowed ? kept[i] : i;
-          GCORE_ASSIGN_OR_RETURN(bool keep,
-                                 eval.EvalPredicate(*conjunct, table, r));
-          if (keep) next.push_back(r);
-        }
+      for (size_t i = 0; i < live; ++i) {
+        const size_t r = narrowed ? kept[i] : i;
+        GCORE_ASSIGN_OR_RETURN(bool keep,
+                               eval.EvalPredicate(*conjunct, table, r));
+        if (keep) next.push_back(r);
       }
     }
     if (!narrowed && next.size() == table.NumRows()) continue;
@@ -1265,39 +1106,6 @@ Result<BindingTable> Matcher::EvalPatterns(
   return result;
 }
 
-Result<BindingTable> Matcher::FilterTable(BindingTable table,
-                                          const Expr& where,
-                                          const PathPropertyGraph* graph) {
-  ExprEvaluator eval = MakeEvaluator(graph);
-  std::vector<size_t> kept;
-  kept.reserve(table.NumRows());
-  // Residual WHERE: one vectorized pass over the whole table when the
-  // predicate compiles; kernel-undecidable rows replay through the same
-  // EvalPredicate in ascending row order, so results and error order
-  // match the serial loop below exactly.
-  std::shared_ptr<const VecProgram> prog =
-      ctx_.enable_vectorized_exprs ? VecProgramFor(where, table, eval, graph)
-                                   : nullptr;
-  if (prog != nullptr) {
-    std::vector<size_t> rows(table.NumRows());
-    std::iota(rows.begin(), rows.end(), size_t{0});
-    GCORE_RETURN_NOT_OK(
-        prog->FilterRows(table, rows.data(), rows.size(), eval, &kept));
-  } else {
-    for (size_t r = 0; r < table.NumRows(); ++r) {
-      GCORE_ASSIGN_OR_RETURN(bool keep, eval.EvalPredicate(where, table, r));
-      if (keep) kept.push_back(r);
-    }
-  }
-  if (kept.size() == table.NumRows()) return table;
-  BindingTable filtered(table.columns());
-  for (const auto& [v, g] : table.column_graphs()) {
-    filtered.SetColumnGraph(v, g);
-  }
-  filtered.AppendRowsFrom(table, kept);
-  return filtered;
-}
-
 Result<BindingTable> Matcher::EvalMatchClause(
     const MatchClause& match, const PlanNode* plan, ExecStats* stats,
     std::unique_ptr<PlanNode>* plan_out) {
@@ -1346,8 +1154,9 @@ Result<BindingTable> Matcher::LegacyEvalMatchClause(const MatchClause& match) {
   pushdown_filters_.clear();
   if (match.where != nullptr) {
     GCORE_ASSIGN_OR_RETURN(table,
-                           FilterTable(std::move(table), *match.where,
-                                       default_graph));
+                           FilterByConjuncts(std::move(table),
+                                             {match.where.get()},
+                                             default_graph));
   }
 
   GCORE_RETURN_NOT_OK(CheckOptionalVariableSharing(match));
@@ -1358,7 +1167,8 @@ Result<BindingTable> Matcher::LegacyEvalMatchClause(const MatchClause& match) {
     if (block.where != nullptr) {
       GCORE_ASSIGN_OR_RETURN(
           block_table,
-          FilterTable(std::move(block_table), *block.where, default_graph));
+          FilterByConjuncts(std::move(block_table), {block.where.get()},
+                            default_graph));
     }
     table = TableLeftOuterJoin(table, block_table);
   }

@@ -74,27 +74,27 @@ struct ChainResult {
 /// are resolved to interned ids and literal kFilter props to (typed
 /// column, literal) pairs, so the per-candidate test touches only dense
 /// arrays — no string lookup, no std::map walk, no ValueSet
-/// materialization. Semantics are exactly NodeAdmits/EdgeAdmits
-/// (non-literal and bind-mode props stay the caller's business).
+/// materialization. It is the one place a literal `{k = v}` is decided,
+/// with expression semantics: v ∈ σ(x, k) for a non-null v, σ(x, k) = ∅
+/// for a null one (⟦null⟧ = ∅). Non-literal and bind-mode props stay the
+/// caller's business (Matcher::ApplyPropPatterns).
 class SnapshotPred {
  public:
   static SnapshotPred ForNode(const GraphSnapshot& snap,
                               const NodePattern& node);
   static SnapshotPred ForEdge(const GraphSnapshot& snap,
                               const EdgePattern& edge);
-  /// Labels only — the edge-side test ExpandEdgeHop applies inline
-  /// (literal edge props are re-checked by ApplyPropPatterns with
-  /// expression semantics, as before).
-  static SnapshotPred ForEdgeLabels(const GraphSnapshot& snap,
-                                    const EdgePattern& edge);
 
   /// Admission of a member object by dense node/edge index.
   bool Admits(uint32_t idx) const;
+  /// Admission of an id outside the snapshot, whose λ/σ are empty.
+  bool AdmitsNonMember() const;
   /// True when no member can match (a label group with no interned label,
-  /// or a filtered key no object carries): callers skip the scan.
+  /// or a non-null literal on a key no object carries): callers skip the
+  /// scan.
   bool never() const { return never_; }
   /// True when the pattern constrains nothing — every object admits,
-  /// including ids outside the snapshot (whose λ/σ are empty).
+  /// including ids outside the snapshot.
   bool unconstrained() const {
     return !never_ && groups_.empty() && filters_.empty();
   }
@@ -114,12 +114,16 @@ class SnapshotPred {
   /// Interned label ids per group (any-of within, all-of across).
   std::vector<std::vector<uint32_t>> groups_;
   /// (column, literal) of each literal kFilter prop; the Value pointers
-  /// alias the pattern AST, which outlives the predicate.
+  /// alias the pattern AST, which outlives the predicate. A null pointer
+  /// is a null literal: the cell must be absent.
   std::vector<std::pair<const GraphSnapshot::PropertyColumn*, const Value*>>
       filters_;
   bool never_ = false;
   uint32_t scan_label_ = GraphSnapshot::kNoLabel;
 };
+
+/// True for a `{k = literal}` filter prop — the props SnapshotPred decides.
+bool IsLiteralFilter(const PropPattern& p);
 
 /// The match runtime: pattern-element primitives plus per-evaluation
 /// caches (graph snapshots, anonymous-column counter). Shared by the
@@ -209,20 +213,12 @@ class Matcher {
       const NodePattern& to, const std::string& to_var,
       const PathPropertyGraph& graph, const std::string& graph_name);
 
-  /// Node-pattern admission (labels plus literal filter props; non-literal
-  /// and bind-mode props are the caller's business). Shared by hop
-  /// expansion and the multiway intersection operator (plan/wcoj.h).
-  Result<bool> NodeAdmits(const NodePattern& node, NodeId id,
-                          const PathPropertyGraph& graph);
-  /// Edge-pattern admission: label groups plus literal filter props.
-  bool EdgeAdmits(const EdgePattern& edge, EdgeId id,
-                  const PathPropertyGraph& graph) const;
-
-  /// Keeps the rows of `table` on which `predicate` holds.
-  Result<BindingTable> FilterTable(BindingTable table, const Expr& predicate,
-                                   const PathPropertyGraph* graph);
-
-  /// Applies each conjunct in turn (pushdown filters of one operator).
+  /// Keeps the rows of `table` on which every conjunct holds: the one
+  /// WHERE path over a binding table (pushed conjuncts of an operator, or
+  /// a whole residual WHERE as a single conjunct, which is then neither
+  /// split nor reordered). Each conjunct runs its VecProgram when it
+  /// compiles and `enable_vectorized_exprs` is on, the row evaluator
+  /// otherwise.
   Result<BindingTable> FilterByConjuncts(
       BindingTable table, const std::vector<const Expr*>& conjuncts,
       const PathPropertyGraph* graph);
@@ -261,8 +257,9 @@ class Matcher {
   static bool LabelsMatch(const LabelSet& labels,
                           const std::vector<std::vector<std::string>>& groups);
 
-  /// Applies `{k = ...}` entries of a node/edge to rows of `table` whose
-  /// column `var` holds the object; filters and unrolls bind-variables.
+  /// Applies the `{k = ...}` entries SnapshotPred does not decide to rows
+  /// of `table` whose column `var` holds the object: non-literal filters
+  /// (with expression semantics) and bind-variables, which unroll.
   Result<BindingTable> ApplyPropPatterns(BindingTable table,
                                          const std::string& var,
                                          const std::vector<PropPattern>& props,

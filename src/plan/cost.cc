@@ -316,6 +316,21 @@ double CardinalityEstimator::PropSelectivity(
     const PropertyStats* bucket =
         edge_props ? stats->EdgePropStatsFor(anchor_label, p.key)
                    : stats->NodePropStatsFor(anchor_label, p.key);
+    if (p.value != nullptr && p.value->kind == Expr::Kind::kLiteral &&
+        p.value->value.is_null()) {
+      // ⟦null⟧ = ∅: the fraction of objects that do not carry the key
+      // (all of them when no object does).
+      auto it = global.find(p.key);
+      const PropertyStats* ps =
+          bucket != nullptr ? bucket
+                            : (it != global.end() ? &it->second : nullptr);
+      const size_t total = bucket != nullptr ? anchor_total : global_total;
+      if (ps != nullptr && total > 0) {
+        s *= 1.0 - std::min(1.0, static_cast<double>(ps->count) /
+                                     static_cast<double>(total));
+      }
+      continue;
+    }
     if (bucket != nullptr && bucket->distinct > 0) {
       s *= EqualitySelectivity(*bucket, anchor_total);
       continue;

@@ -113,14 +113,11 @@ void CollectChainVars(const GraphPattern& pattern,
 }
 
 /// True when a pattern element's props are all literal filters — the
-/// shapes NodeAdmits/EdgeAdmits check without a row context, which is
-/// what the multiway operator's admission can evaluate.
+/// props SnapshotPred decides without a row context, which is what the
+/// multiway operator's admission can evaluate.
 bool LiteralFilterPropsOnly(const std::vector<PropPattern>& props) {
   for (const auto& p : props) {
-    if (p.mode != PropPattern::Mode::kFilter) return false;
-    if (p.value == nullptr || p.value->kind != Expr::Kind::kLiteral) {
-      return false;
-    }
+    if (!IsLiteralFilter(p)) return false;
   }
   return true;
 }

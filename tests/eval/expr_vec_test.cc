@@ -3,7 +3,9 @@
 // spec — across every Value kind (null/absent, interned strings, dates
 // including non-calendar literals, multi-valued sets, paths), the AND/OR
 // short-circuit (including its error suppression), morsel sizes
-// {1, 7, 1024}, and engine-level parallelism 1/2/8. The
+// {1, 7, 1024}, the fused `x.k ⊙ literal` column scan on node, edge,
+// path, unbound and foreign-provenance cells, and engine-level
+// parallelism 1/2/8. The
 // enable_vectorized_exprs=false runs double as the seed-path baseline:
 // every configuration must reproduce them byte-identically.
 #include "eval/expr_vec.h"
@@ -11,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -62,15 +65,46 @@ class ExprVecTest : public ::testing::Test {
     // but distinct field identity, which the packed kernels must keep.
     g.SetProperty(NodeId(snb::kAliceId), "birthday",
                   ValueSet(Value::OfDate(MkDate(2009, 2, 31))));
+    // Edge cells: knows edges carry an int, a string, a multi-valued and
+    // no `since`; one also carries `age`, a key nodes carry too.
+    size_t k = 0;
+    g.ForEachEdge([&](EdgeId e, NodeId, NodeId) {
+      if (!g.Labels(e).Contains("knows")) return;
+      switch (k++ % 4) {
+        case 0:
+          g.SetProperty(e, "since", ValueSet(Value::Int(2010)));
+          g.SetProperty(e, "age", ValueSet(Value::Int(42)));
+          break;
+        case 1:
+          g.SetProperty(e, "since", ValueSet(Value::String("2010")));
+          break;
+        case 2:
+          g.SetProperty(e, "since",
+                        ValueSet({Value::Int(2010), Value::Int(2011)}));
+          break;
+        default:
+          break;
+      }
+      knows_edges.push_back(e);
+    });
     catalog.RegisterGraph("social_graph", std::move(g));
     catalog.SetDefaultGraph("social_graph");
     graph = *catalog.Lookup("social_graph");
-    snap = std::make_unique<GraphSnapshot>(*graph);
+    // A second graph over the same node ids with different cells, for
+    // columns whose provenance is not the default graph.
+    PathPropertyGraph other = snb::MakeSocialGraph(catalog.ids());
+    other.SetProperty(NodeId(snb::kJohnId), "age", ValueSet(Value::Int(7)));
+    other.SetProperty(NodeId(snb::kPeterId), "firstName",
+                      ValueSet(Value::String("John")));
+    catalog.RegisterGraph("other_graph", std::move(other));
   }
 
+  /// Snapshots per graph, frozen on first use (the matcher's cache role).
   VecProgram::SnapshotFn SnapFn() {
-    return [this](const PathPropertyGraph&) -> const GraphSnapshot& {
-      return *snap;
+    return [this](const PathPropertyGraph& g) -> const GraphSnapshot& {
+      auto& slot = snaps[&g];
+      if (slot == nullptr) slot = std::make_unique<GraphSnapshot>(g);
+      return *slot;
     };
   }
 
@@ -198,7 +232,8 @@ class ExprVecTest : public ::testing::Test {
 
   GraphCatalog catalog;
   const PathPropertyGraph* graph = nullptr;
-  std::unique_ptr<GraphSnapshot> snap;
+  std::vector<EdgeId> knows_edges;
+  std::map<const PathPropertyGraph*, std::unique_ptr<GraphSnapshot>> snaps;
 };
 
 // --- predicate kernels over node property columns ---------------------------
@@ -219,6 +254,65 @@ TEST_F(ExprVecTest, PropertyComparisonsMatchRowEvaluator) {
       "n.birthday = n.birthday", "n.birthday <= n.birthday",
   };
   for (const char* e : exprs) ExpectFilterDifferential(e, PersonTable());
+}
+
+// --- fused `x.k ⊙ literal` column scan --------------------------------------
+
+TEST_F(ExprVecTest, FusedPropertyLiteralCompareMatchesRowEvaluator) {
+  // One object column of every cell shape the fused scan reads: member
+  // nodes and edges (string, int, double, bool, date, {null}, multi-valued
+  // and absent cells), non-member ids, a stored path (row fallback), an
+  // unbound cell and a literal value.
+  PathValue pv;
+  pv.id = PathId(9302);
+  BindingTable objects({"x"});
+  objects.SetColumnGraph("x", "social_graph");
+  std::vector<Datum> cells;
+  for (uint64_t id : {snb::kJohnId, snb::kPeterId, snb::kAliceId,
+                      snb::kCelineId, snb::kFrankId, uint64_t{987654}}) {
+    cells.push_back(Datum::OfNode(NodeId(id)));
+  }
+  for (EdgeId e : knows_edges) cells.push_back(Datum::OfEdge(e));
+  cells.push_back(Datum::OfEdge(EdgeId(987654)));
+  cells.push_back(Datum::OfPath(std::make_shared<const PathValue>(pv)));
+  cells.push_back(Datum::Unbound());
+  cells.push_back(Datum::OfValue(Value::Int(42)));
+  for (auto& c : cells) ASSERT_TRUE(objects.AddRow({std::move(c)}).ok());
+
+  BindingTable foreign = PersonTable();
+  foreign.SetColumnGraph("n", "other_graph");
+
+  const Value literals[] = {
+      Value::String("John"), Value::String("MIT"),  Value::String("2010"),
+      Value::Int(42),        Value::Int(2010),      Value::Double(42.0),
+      Value::Double(30.5),   Value::Bool(true),     Value::Bool(false),
+      Value::OfDate(MkDate(2009, 3, 2)),            Value::Null(),
+  };
+  const char* keys[] = {"firstName", "employer", "age",      "score",
+                        "active",    "birthday", "since",    "nosuchkey"};
+  for (BinaryOp op : {BinaryOp::kEq, BinaryOp::kNe, BinaryOp::kLt,
+                      BinaryOp::kLe, BinaryOp::kGt, BinaryOp::kGe}) {
+    for (const char* key : keys) {
+      for (const Value& lit : literals) {
+        for (bool lit_left : {false, true}) {
+          const std::string label =
+              std::string(key) + " op#" +
+              std::to_string(static_cast<int>(op)) + " " + lit.ToString() +
+              (lit_left ? " (literal left)" : "");
+          for (const auto& [table, var] :
+               {std::make_pair(&objects, "x"), std::make_pair(&foreign, "n")}) {
+            auto prop = Expr::Property(var, key);
+            auto literal = Expr::Literal(lit);
+            auto cmp = lit_left
+                           ? Expr::Binary(op, std::move(literal), std::move(prop))
+                           : Expr::Binary(op, std::move(prop), std::move(literal));
+            ExpectFilterDifferential(*cmp, *table, label);
+            ExpectValueDifferential(*cmp, *table, label);
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST_F(ExprVecTest, ArithmeticAndConnectivesMatchRowEvaluator) {
@@ -345,16 +439,17 @@ TEST_F(ExprVecTest, RefusesExpressionsNeedingTheFullEvaluator) {
 
 TEST_F(ExprVecTest, EngineResultsIdenticalAcrossKnobMorselsParallelism) {
   const char* queries[] = {
-      // Residual WHERE with a non-specializable conjunct + computed
-      // projection + ORDER BY keys (FilterTable, FilterByConjuncts and
-      // FinishBasic vectorized sites all fire). Arithmetic over the
+      // Residual WHERE with an arithmetic conjunct + computed projection
+      // + ORDER BY keys (the residual and pushed FilterByConjuncts and
+      // the FinishBasic vectorized sites all fire). Arithmetic over the
       // partially-absent age column hides behind a CASE guard so the
       // query is error-free under ANY conjunct evaluation order — the
       // reordering satellite may legally move conjuncts around.
       "SELECT n.firstName AS name, n.age + 1 AS a MATCH (n:Person) "
       "WHERE CASE WHEN n.age >= 17 THEN n.age + 0 >= 17 ELSE FALSE END "
       "ORDER BY n.firstName",
-      // Conjunct reordering candidates: specialized + vectorizable mix.
+      // Conjunct reordering candidates: fused column scans + general
+      // vectorized kernels.
       "SELECT n.firstName AS name MATCH (n:Person) "
       "WHERE n.age >= 17 AND "
       "(CASE WHEN n.age >= 17 THEN n.age * 2 < 100 ELSE FALSE END) AND "

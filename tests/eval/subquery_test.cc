@@ -7,6 +7,7 @@
 // outer table, and otherwise fails the query with its own Status.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <vector>
@@ -231,6 +232,57 @@ TEST_F(SubqueryTest, OptionalUnboundSharedVariable) {
   ExpectSelect("SELECT n AS n, t AS t " + tagged_match +
                    " WHERE NOT EXISTS ( CONSTRUCT () " + others_match + " )",
                Project(anti, {"n", "t"}));
+}
+
+TEST_F(SubqueryTest, PathViewWhereExists) {
+  // A PATH view's WHERE runs on the view's own matcher, whose evaluator
+  // answers EXISTS and pattern predicates: the view keeps the knows
+  // segments whose x has an interest. Restricted by hand, that is a WHERE
+  // naming those persons.
+  const BindingTable interested =
+      Bindings("MATCH (x:Person)-[:hasInterest]->()");
+  const PathPropertyGraph* graph = *catalog.Lookup("social_graph");
+  std::string by_hand;
+  for (size_t r = 0; r < interested.NumRows(); ++r) {
+    const ValueSet& name =
+        graph->Property(interested.Get(r, "x").node(), "firstName");
+    ASSERT_TRUE(name.is_singleton());
+    by_hand += (by_hand.empty() ? "" : " OR ") + std::string("x.firstName = '") +
+               name.single().AsString() + "'";
+  }
+  ASSERT_FALSE(by_hand.empty());
+
+  // (n, m) endpoint pairs of the constructed reachability graph.
+  auto reach = [&](const std::string& where, const Config& config) {
+    std::set<std::pair<std::string, std::string>> pairs;
+    auto result = Run("PATH p = (x)-[:knows]->(y)" + where +
+                          " CONSTRUCT (n)-[:r]->(m) "
+                          "MATCH (n:Person)-/<~p*>/->(m:Person)",
+                      config);
+    EXPECT_TRUE(result.ok()) << where << ": " << result.status().ToString();
+    if (!result.ok() || !result->IsGraph()) return pairs;
+    result->graph->ForEachEdge([&](EdgeId, NodeId from, NodeId to) {
+      pairs.emplace(ToString(from), ToString(to));
+    });
+    return pairs;
+  };
+  const auto expected = reach(" WHERE " + by_hand, kConfigs[0]);
+  // The restriction bites: some segment survives and some is dropped.
+  const auto unrestricted = reach("", kConfigs[0]);
+  const auto moves = std::count_if(
+      expected.begin(), expected.end(),
+      [](const auto& pair) { return pair.first != pair.second; });
+  ASSERT_GT(moves, 0);
+  ASSERT_LT(expected.size(), unrestricted.size());
+  for (const Config& config : kConfigs) {
+    SCOPED_TRACE(ConfigName(config));
+    EXPECT_EQ(reach(" WHERE EXISTS ( CONSTRUCT () "
+                    "MATCH (x)-[:hasInterest]->() )",
+                    config),
+              expected);
+    EXPECT_EQ(reach(" WHERE (x)-[:hasInterest]->()", config), expected);
+    EXPECT_EQ(reach(" WHERE " + by_hand, config), expected);
+  }
 }
 
 TEST_F(SubqueryTest, FailingInnerRunsOnlyForOuterRows) {

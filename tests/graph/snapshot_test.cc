@@ -2,7 +2,7 @@
 // PathPropertyGraph it was built from on labels, topology, property
 // cells and label spans; stats collected by sweeping the snapshot must
 // match the PPG scan oracle (GraphStats::Collect); the compiled
-// SnapshotPred must agree with NodeAdmits/EdgeAdmits; and the catalog
+// SnapshotPred must agree with a PPG oracle of λ/σ; and the catalog
 // must cache one snapshot per graph and invalidate it on re-register.
 #include "graph/snapshot.h"
 
@@ -278,22 +278,33 @@ TEST(GraphSnapshot, StatsFromColumnsMatchOn2000PersonSnb) {
   EXPECT_EQ(GraphStats::CollectFromSnapshot(snap), GraphStats::Collect(g));
 }
 
-TEST(GraphSnapshot, PredicateAgreesWithAdmissionChecks) {
+/// The PPG oracle of a compiled SnapshotPred: every label group meets λ,
+/// and every literal `{k = v}` holds with expression semantics — v ∈ σ
+/// for a non-null v, σ = ∅ for a null one (⟦null⟧ = ∅).
+bool OracleAdmits(const LabelSet& labels, const PropertyMap& props,
+                  const std::vector<std::vector<std::string>>& groups,
+                  const std::vector<PropPattern>& filters) {
+  for (const auto& group : groups) {
+    bool any = false;
+    for (const auto& l : group) any = any || labels.Contains(l);
+    if (!any) return false;
+  }
+  for (const PropPattern& p : filters) {
+    const Value& v = p.value->value;
+    const ValueSet& sigma = props.Get(p.key);
+    if (v.is_null() ? !sigma.empty() : !sigma.Contains(v)) return false;
+  }
+  return true;
+}
+
+TEST(GraphSnapshot, PredicateAgreesWithPpgOracle) {
   GraphCatalog catalog;
   GraphBuilder b = MakeMixedGraph(catalog.ids());
-  const PathPropertyGraph* g = nullptr;
-  {
-    catalog.RegisterGraph("mixed", b.Build());
-    catalog.SetDefaultGraph("mixed");
-    auto looked = catalog.Lookup("mixed");
-    ASSERT_TRUE(looked.ok());
-    g = *looked;
-  }
-  MatcherContext ctx;
-  ctx.catalog = &catalog;
-  ctx.default_graph = "mixed";
-  Matcher rt(ctx);
-  const GraphSnapshot& snap = rt.Snapshot(*g);
+  catalog.RegisterGraph("mixed", b.Build());
+  auto looked = catalog.Lookup("mixed");
+  ASSERT_TRUE(looked.ok());
+  const PathPropertyGraph* g = *looked;
+  const GraphSnapshot snap(*g);
 
   auto filter = [](const std::string& key, Value v) {
     PropPattern p;
@@ -304,33 +315,76 @@ TEST(GraphSnapshot, PredicateAgreesWithAdmissionChecks) {
     p.value->value = std::move(v);
     return p;
   };
+  const LabelSet no_labels;
+  const PropertyMap no_props;
 
-  // Label disjunction + literal property filter, including an unknown
-  // label (dropped from its group) and a never-true unknown key.
-  std::vector<NodePattern> patterns(4);
-  patterns[0].label_groups = {{"Person"}};
-  patterns[1].label_groups = {{"Tag", "Admin"}, {"Person"}};
-  patterns[2].label_groups = {{"Ghost", "Person"}};
-  patterns[2].props.push_back(filter("age", Value::Int(41)));
-  patterns[3].props.push_back(filter("nope", Value::Int(1)));
-  for (const NodePattern& pattern : patterns) {
+  // Label disjunctions (including an unknown label, dropped from its
+  // group), literals on carried and uncarried keys, null literals on both,
+  // 30 vs 30.0, a {null} cell, and a multi-valued cell.
+  std::vector<NodePattern> nodes(15);
+  nodes[0].label_groups = {{"Person"}};
+  nodes[1].label_groups = {{"Tag", "Admin"}, {"Person"}};
+  nodes[2].label_groups = {{"Ghost", "Person"}};
+  nodes[2].props.push_back(filter("age", Value::Int(41)));
+  nodes[3].props.push_back(filter("nope", Value::Int(1)));
+  nodes[4].props.push_back(filter("nope", Value::Null()));
+  nodes[5].props.push_back(filter("age", Value::Null()));
+  nodes[6].props.push_back(filter("misc", Value::Null()));
+  nodes[7].props.push_back(filter("age", Value::Int(30)));
+  nodes[8].props.push_back(filter("age", Value::Double(30.0)));
+  nodes[9].props.push_back(filter("score", Value::Int(2)));
+  nodes[10].props.push_back(filter("employer", Value::String("MIT")));
+  nodes[11].props.push_back(filter("employer", Value::String("CWI")));
+  nodes[12].props.push_back(filter("employer", Value::Null()));
+  nodes[13].label_groups = {{"Person"}};
+  nodes[13].props.push_back(filter("age", Value::Null()));
+  nodes[14].props.push_back(filter("misc", Value::Null()));
+  nodes[14].props.push_back(filter("nope", Value::Null()));
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    const NodePattern& pattern = nodes[i];
     const SnapshotPred pred = SnapshotPred::ForNode(snap, pattern);
+    size_t admitted = 0;
     g->ForEachNode([&](NodeId id) {
-      auto admits = rt.NodeAdmits(pattern, id, *g);
-      ASSERT_TRUE(admits.ok());
-      EXPECT_EQ(pred.Admits(snap.adjacency().IndexOf(id)), *admits)
-          << "node " << id.value();
+      const bool want = OracleAdmits(g->Labels(id), g->Properties(id),
+                                     pattern.label_groups, pattern.props);
+      EXPECT_EQ(pred.Admits(snap.adjacency().IndexOf(id)), want)
+          << "node pattern " << i << " node " << id.value();
+      admitted += want ? 1 : 0;
     });
+    // never() is a sound shortcut, and non-members have empty λ/σ.
+    if (pred.never()) EXPECT_EQ(admitted, 0u) << "node pattern " << i;
+    EXPECT_EQ(pred.AdmitsNonMember(),
+              OracleAdmits(no_labels, no_props, pattern.label_groups,
+                           pattern.props))
+        << "node pattern " << i;
   }
 
-  EdgePattern ep;
-  ep.label_groups = {{"knows", "hasInterest"}};
-  ep.props.push_back(filter("since", Value::Int(2010)));
-  const SnapshotPred epred = SnapshotPred::ForEdge(snap, ep);
-  g->ForEachEdge([&](EdgeId id, NodeId, NodeId) {
-    EXPECT_EQ(epred.Admits(snap.EdgeIndexOf(id)), rt.EdgeAdmits(ep, id, *g))
-        << "edge " << id.value();
-  });
+  std::vector<EdgePattern> edges(8);
+  edges[0].label_groups = {{"knows", "hasInterest"}};
+  edges[0].props.push_back(filter("since", Value::Int(2010)));
+  edges[1].props.push_back(filter("since", Value::Double(2010.0)));
+  edges[2].props.push_back(filter("since", Value::Null()));
+  edges[3].props.push_back(filter("weight", Value::Null()));
+  edges[4].props.push_back(filter("nope", Value::Null()));
+  edges[5].props.push_back(filter("nope", Value::Int(1)));
+  edges[6].label_groups = {{"knows"}};
+  edges[6].props.push_back(filter("weight", Value::Double(0.5)));
+  edges[7].label_groups = {{"knows"}};
+  edges[7].props.push_back(filter("nope", Value::Null()));
+  for (size_t i = 0; i < edges.size(); ++i) {
+    const EdgePattern& pattern = edges[i];
+    const SnapshotPred pred = SnapshotPred::ForEdge(snap, pattern);
+    g->ForEachEdge([&](EdgeId id, NodeId, NodeId) {
+      EXPECT_EQ(pred.Admits(snap.EdgeIndexOf(id)),
+                OracleAdmits(g->Labels(id), g->Properties(id),
+                             pattern.label_groups, pattern.props))
+          << "edge pattern " << i << " edge " << id.value();
+    });
+    EXPECT_EQ(pred.AdmitsNonMember(),
+              OracleAdmits(no_labels, no_props, pattern.label_groups,
+                           pattern.props))
+        << "edge pattern " << i;
+  }
 }
 
 TEST(GraphSnapshot, CatalogCachesAndInvalidatesWithStats) {

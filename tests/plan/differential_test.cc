@@ -168,6 +168,131 @@ TEST_F(DifferentialMatch, ErrorEquivalence) {
   EXPECT_FALSE(via_walk.ok());
 }
 
+/// A literal `{k = null}` in a pattern is decided with expression
+/// semantics, ⟦null⟧ = ∅: it keeps exactly the bindings whose σ(x, k) is
+/// empty, like `WHERE x.k = null`. Both forms must agree on every pattern
+/// element that can carry one, on a key some objects carry and on a key
+/// none does, under the planner and the tree-walk.
+class NullLiteralPatterns : public ::testing::Test {
+ protected:
+  NullLiteralPatterns() {
+    // The toy social graph plus a `since` on John's outgoing knows edges:
+    // `employer` (absent on Peter) and `since` are carried by some objects,
+    // `nosuchkey` by none.
+    PathPropertyGraph g = snb::MakeSocialGraph(catalog.ids());
+    g.ForEachEdge([&](EdgeId e, NodeId src, NodeId) {
+      if (g.Labels(e).Contains("knows") &&
+          g.Property(src, "firstName").Contains(Value::String("John"))) {
+        g.SetProperty(e, "since", ValueSet(Value::Int(2010)));
+      }
+    });
+    catalog.RegisterGraph("social_graph", std::move(g));
+    catalog.SetDefaultGraph("social_graph");
+  }
+
+  Result<BindingTable> Bindings(const std::string& match_query,
+                                bool use_planner) {
+    auto parsed = ParseQuery("CONSTRUCT (z) " + match_query);
+    EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+    if (!parsed.ok()) return parsed.status();
+    parsed_.push_back(std::move(*parsed));
+    MatcherContext ctx;
+    ctx.catalog = &catalog;
+    ctx.default_graph = "social_graph";
+    ctx.use_planner = use_planner;
+    return Matcher(ctx).EvalMatchClause(*parsed_.back()->body->basic->match);
+  }
+
+  /// `pattern` (with a `{KEY = null}` placeholder) equals `plain WHERE
+  /// where` for KEY in {carried, nosuchkey}; returns the carried-key row
+  /// count.
+  size_t ExpectPatternEqualsWhere(const std::string& pattern,
+                                  const std::string& plain,
+                                  const std::string& var,
+                                  const std::string& carried) {
+    size_t carried_rows = 0;
+    for (const std::string& key : {carried, std::string("nosuchkey")}) {
+      std::string with_prop = pattern;
+      with_prop.replace(with_prop.find("KEY"), 3, key);
+      const std::string with_where =
+          plain + " WHERE " + var + "." + key + " = null";
+      for (bool use_planner : {true, false}) {
+        auto got = Bindings("MATCH " + with_prop, use_planner);
+        auto want = Bindings("MATCH " + with_where, use_planner);
+        if (!got.ok() || !want.ok()) {
+          ADD_FAILURE() << with_prop << ": " << got.status().ToString()
+                        << " / " << want.status().ToString();
+          continue;
+        }
+        EXPECT_EQ(Canonical(*got), Canonical(*want))
+            << with_prop << " vs " << with_where
+            << " use_planner=" << use_planner;
+        if (key == carried) carried_rows = got->NumRows();
+      }
+    }
+    return carried_rows;
+  }
+
+  GraphCatalog catalog;
+  std::vector<std::unique_ptr<Query>> parsed_;
+};
+
+TEST_F(NullLiteralPatterns, StartNode) {
+  // Peter alone has no employer.
+  EXPECT_EQ(ExpectPatternEqualsWhere("(n:Person {KEY = null})",
+                                     "(n:Person)", "n", "employer"),
+            1u);
+}
+
+TEST_F(NullLiteralPatterns, Edge) {
+  // Eight knows edges, two of them John's.
+  EXPECT_EQ(ExpectPatternEqualsWhere("(a)-[e:knows {KEY = null}]->(b)",
+                                     "(a)-[e:knows]->(b)", "e", "since"),
+            6u);
+}
+
+TEST_F(NullLiteralPatterns, EdgeHopTarget) {
+  // Three knows edges point at Peter.
+  EXPECT_EQ(ExpectPatternEqualsWhere(
+                "(a:Person)-[e:knows]->(b {KEY = null})",
+                "(a:Person)-[e:knows]->(b)", "b", "employer"),
+            3u);
+}
+
+TEST_F(NullLiteralPatterns, PathHopTarget) {
+  // Every person reaches Peter over knows.
+  EXPECT_EQ(ExpectPatternEqualsWhere(
+                "(a:Person)-/<:knows*>/->(m {KEY = null})",
+                "(a:Person)-/<:knows*>/->(m)", "m", "employer"),
+            5u);
+}
+
+TEST_F(NullLiteralPatterns, PathHopTargetRowDependentProps) {
+  // The props SnapshotPred leaves to the row apply on path-hop targets
+  // too: a filter reading another variable, and a bind variable.
+  for (bool use_planner : {true, false}) {
+    auto filtered = Bindings(
+        "MATCH (a:Person)-/<:knows*>/->(m:Person {lastName = a.lastName})",
+        use_planner);
+    auto where = Bindings(
+        "MATCH (a:Person)-/<:knows*>/->(m:Person) "
+        "WHERE m.lastName = a.lastName",
+        use_planner);
+    ASSERT_TRUE(filtered.ok() && where.ok());
+    EXPECT_EQ(filtered->NumRows(), 5u) << use_planner;
+    EXPECT_EQ(Canonical(*filtered), Canonical(*where)) << use_planner;
+
+    auto bound = Bindings(
+        "MATCH (a:Person {firstName = 'John'})-/<:knows*>/->(m {lastName = l})",
+        use_planner);
+    ASSERT_TRUE(bound.ok());
+    EXPECT_EQ(bound->NumRows(), 5u) << use_planner;
+    for (size_t r = 0; r < bound->NumRows(); ++r) {
+      EXPECT_TRUE(bound->Get(r, "l").IsBound()) << use_planner;
+    }
+  }
+}
+
 /// Engine-level differential: full queries (construction, views, set
 /// operations, tabular extensions) through both pipelines.
 class DifferentialEngine : public ::testing::Test {

@@ -29,24 +29,30 @@ namespace {
 /// hops of +1/+2 never wrap), plus five disjoint directed triangles of
 /// fresh :P nodes. Max out/in degree 2, so the multiway degree bound
 /// (N·2·2 for a triangle) undercuts the binary plan's wedge intermediate
-/// (~|E|²/N), which is what makes the rewrite fire.
-void RegisterCycleGraph(GraphCatalog* catalog) {
-  GraphBuilder b("cyc", catalog->ids());
+/// (~|E|²/N), which is what makes the rewrite fire. With `weighted`, the
+/// +1 ring edges and the edges of the first two triangles carry {w: 1}.
+void RegisterCycleGraph(GraphCatalog* catalog, const std::string& name = "cyc",
+                        bool weighted = false) {
+  GraphBuilder b(name, catalog->ids());
+  auto weigh = [&](EdgeId e) {
+    if (weighted) b.AddEdgePropertyValue(e, "w", Value::Int(1));
+  };
   std::vector<NodeId> ring;
   for (int i = 0; i < 40; ++i) ring.push_back(b.AddNode({"P"}));
   for (int i = 0; i < 40; ++i) {
-    b.AddEdge(ring[i], ring[(i + 1) % 40], "e");
+    weigh(b.AddEdge(ring[i], ring[(i + 1) % 40], "e"));
     b.AddEdge(ring[i], ring[(i + 2) % 40], "e");
   }
   for (int t = 0; t < 5; ++t) {
     const NodeId t1 = b.AddNode({"P"});
     const NodeId t2 = b.AddNode({"P"});
     const NodeId t3 = b.AddNode({"P"});
-    b.AddEdge(t1, t2, "e");
-    b.AddEdge(t2, t3, "e");
-    b.AddEdge(t3, t1, "e");
+    for (const EdgeId e : {b.AddEdge(t1, t2, "e"), b.AddEdge(t2, t3, "e"),
+                           b.AddEdge(t3, t1, "e")}) {
+      if (t < 2) weigh(e);
+    }
   }
-  catalog->RegisterGraph("cyc", b.Build());
+  catalog->RegisterGraph(name, b.Build());
 }
 
 constexpr const char* kTriangleQuery =
@@ -107,7 +113,7 @@ class WcojTest : public ::testing::Test {
     parsed_.push_back(std::move(*parsed));
     MatcherContext ctx;
     ctx.catalog = &catalog;
-    ctx.default_graph = "cyc";
+    ctx.default_graph = default_graph_;
     ctx.use_planner = use_planner;
     ctx.enable_multiway = multiway;
     ctx.parallelism = parallelism;
@@ -117,6 +123,7 @@ class WcojTest : public ::testing::Test {
   }
 
   GraphCatalog catalog;
+  std::string default_graph_ = "cyc";
   std::vector<std::unique_ptr<Query>> parsed_;
 };
 
@@ -222,6 +229,40 @@ TEST_F(WcojTest, ReversedAndUndirectedCyclesDifferential) {
                                parallelism, /*morsel_size=*/2);
       ASSERT_TRUE(multiway.ok()) << multiway.status().ToString();
       EXPECT_EQ(multiway->columns(), legacy->columns()) << query;
+      EXPECT_EQ(Canonical(*multiway), Canonical(*legacy))
+          << query << " p=" << parallelism;
+    }
+  }
+}
+
+// A null literal `{k = null}` on a cycle edge admits exactly the edges
+// without k (⟦null⟧ = ∅), on a carried and an uncarried key alike: the
+// multiway admission (SnapshotPred) must agree with the binary plan and
+// the legacy walk, which decide the same pattern element through hop
+// expansion.
+TEST_F(WcojTest, NullLiteralEdgePropMatchesBinaryPlan) {
+  RegisterCycleGraph(&catalog, "cycw", /*weighted=*/true);
+  catalog.SetDefaultGraph("cycw");
+  default_graph_ = "cycw";
+  for (const char* key : {"w", "nosuchkey"}) {
+    const std::string query =
+        std::string("CONSTRUCT (a) MATCH (a:P)-[x:e {") + key +
+        " = null}]->(b:P), (b)-[y:e]->(c:P), (c)-[z:e]->(a)";
+    const std::string plan = Explain(query);
+    EXPECT_NE(plan.find("MultiwayExpand"), std::string::npos)
+        << query << "\n" << plan;
+    auto legacy = Bindings(query, /*use_planner=*/false, false, 1);
+    auto binary = Bindings(query, /*use_planner=*/true, false, 1);
+    ASSERT_TRUE(legacy.ok() && binary.ok()) << query;
+    // Three rotations of each of the three unweighted triangles; every
+    // rotation for the uncarried key.
+    EXPECT_EQ(legacy->NumRows(), std::string(key) == "w" ? 9u : 15u)
+        << query;
+    EXPECT_EQ(Canonical(*legacy), Canonical(*binary)) << query;
+    for (size_t parallelism : {size_t{1}, size_t{8}}) {
+      auto multiway = Bindings(query, /*use_planner=*/true, true,
+                               parallelism, /*morsel_size=*/2);
+      ASSERT_TRUE(multiway.ok()) << multiway.status().ToString();
       EXPECT_EQ(Canonical(*multiway), Canonical(*legacy))
           << query << " p=" << parallelism;
     }
