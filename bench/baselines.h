@@ -30,14 +30,17 @@ using SeedRows = std::vector<BindingRow>;
 SeedRows MaterializeRows(const BindingTable& table);
 
 /// Counts conforming walks from src to dst up to `max_hops` hops by naive
-/// enumeration (DFS over walks). Exponential in max_hops on dense graphs;
-/// stops early after `budget` expansions and reports how many were used.
+/// enumeration (DFS over walks) over `adj`, the topology of `graph`; label
+/// tests read `graph`'s label sets. Exponential in max_hops on dense
+/// graphs; stops early after `budget` expansions and reports how many were
+/// used.
 struct EnumerationStats {
   uint64_t walks_found = 0;
   uint64_t expansions = 0;
   bool budget_exhausted = false;
 };
-EnumerationStats EnumerateConformingWalks(const AdjacencyIndex& adj,
+EnumerationStats EnumerateConformingWalks(const PathPropertyGraph& graph,
+                                          const AdjacencyIndex& adj,
                                           const Nfa& nfa, NodeId src,
                                           NodeId dst, size_t max_hops,
                                           uint64_t budget);
@@ -46,7 +49,8 @@ EnumerationStats EnumerateConformingWalks(const AdjacencyIndex& adj,
 /// the regex, by exhaustive backtracking — the NP-hard semantics Cypher 9
 /// uses and G-CORE deliberately avoids. Returns its length, or nullopt.
 /// Stops after `budget` expansions (sets stats.budget_exhausted).
-std::optional<size_t> ShortestSimplePath(const AdjacencyIndex& adj,
+std::optional<size_t> ShortestSimplePath(const PathPropertyGraph& graph,
+                                         const AdjacencyIndex& adj,
                                          const Nfa& nfa, NodeId src,
                                          NodeId dst, uint64_t budget,
                                          EnumerationStats* stats);

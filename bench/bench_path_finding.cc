@@ -14,7 +14,6 @@
 #include "parser/parser.h"
 #include "paths/all_paths.h"
 #include "paths/batched_bfs.h"
-#include "paths/delta_stepping.h"
 #include "paths/k_shortest.h"
 #include "paths/product_bfs.h"
 #include "snb/generator.h"
@@ -26,26 +25,28 @@ namespace {
 struct PathFixture {
   IdAllocator ids;
   PathPropertyGraph graph;
-  std::unique_ptr<AdjacencyIndex> adj;
+  std::unique_ptr<GraphSnapshot> snap;
   NodeId src;
   NodeId dst;
+  std::vector<NodeId> persons;
 
-  explicit PathFixture(size_t persons) {
+  explicit PathFixture(size_t num_persons) {
     snb::GeneratorOptions options;
-    options.num_persons = persons;
+    options.num_persons = num_persons;
     graph = snb::Generate(options, &ids);
-    adj = std::make_unique<AdjacencyIndex>(graph);
+    snap = std::make_unique<GraphSnapshot>(graph);
     // First and last Person nodes as endpoints.
     graph.ForEachNode([&](NodeId n) {
       if (!graph.Labels(n).Contains(snb::kPerson)) return;
       if (!src.valid()) src = n;
       dst = n;
+      persons.push_back(n);
     });
   }
 
   PathSearchContext Ctx(const Nfa* nfa) const {
     PathSearchContext ctx;
-    ctx.adj = adj.get();
+    ctx.snap = snap.get();
     ctx.nfa = nfa;
     return ctx;
   }
@@ -172,113 +173,6 @@ BENCHMARK(BM_WeightedViewTraversal)
     ->Range(200, 3200)
     ->Unit(benchmark::kMillisecond);
 
-/// SNB graph with a synthetic integer weight property on every edge
-/// (the generator emits no numeric edge properties), snapshotted so the
-/// delta kernels read weights through the typed column via
-/// AdjacencyEntry::edge_dense.
-struct WeightedFixture {
-  IdAllocator ids;
-  PathPropertyGraph graph;
-  std::unique_ptr<GraphSnapshot> snap;
-  NodeId src;
-  std::vector<NodeId> persons;
-
-  explicit WeightedFixture(size_t num_persons) {
-    snb::GeneratorOptions options;
-    options.num_persons = num_persons;
-    graph = snb::Generate(options, &ids);
-    std::vector<EdgeId> edges;
-    graph.ForEachEdge([&](EdgeId e, NodeId, NodeId) { edges.push_back(e); });
-    uint64_t i = 0;
-    for (EdgeId e : edges) {
-      graph.SetProperty(
-          e, "w", ValueSet(Value::Int(static_cast<int64_t>(1 + i++ % 7))));
-    }
-    snap = std::make_unique<GraphSnapshot>(graph);
-    graph.ForEachNode([&](NodeId n) {
-      if (!graph.Labels(n).Contains(snb::kPerson)) return;
-      if (!src.valid()) src = n;
-      persons.push_back(n);
-    });
-  }
-
-  DenseEdgeWeightFn Weight() const {
-    return SnapshotWeightFn(snap->EdgeWeights("w"));
-  }
-};
-
-// Weighted SSSP: serial binary heap (the executable spec, forced via a
-// huge serial_cutoff) vs the bucketed delta-stepping kernel at
-// parallelism 1 and hardware (range(1)).
-void BM_WeightedSssp_Heap(benchmark::State& state) {
-  WeightedFixture f(static_cast<size_t>(state.range(0)));
-  const DenseEdgeWeightFn weight = f.Weight();
-  for (auto _ : state) {
-    auto r = KSsspHeapFrom(f.snap->adjacency(), f.src, weight, 1);
-    if (!r.ok()) state.SkipWithError("heap sssp failed");
-    benchmark::DoNotOptimize(r);
-  }
-}
-BENCHMARK(BM_WeightedSssp_Heap)
-    ->Args({2000})
-    ->Args({20000})
-    ->Unit(benchmark::kMillisecond);
-
-void BM_WeightedSssp_Delta(benchmark::State& state) {
-  WeightedFixture f(static_cast<size_t>(state.range(0)));
-  const DenseEdgeWeightFn weight = f.Weight();
-  ParallelSsspOptions opts;
-  opts.parallelism = static_cast<size_t>(state.range(1));
-  opts.serial_cutoff = 0;
-  for (auto _ : state) {
-    auto r = DeltaSsspFrom(f.snap->adjacency(), f.src, weight, opts);
-    if (!r.ok()) state.SkipWithError("delta sssp failed");
-    benchmark::DoNotOptimize(r);
-  }
-  state.SetLabel("parallelism=" + std::to_string(opts.parallelism));
-}
-BENCHMARK(BM_WeightedSssp_Delta)
-    ->Args({2000, 1})
-    ->Args({2000, 0})
-    ->Args({20000, 1})
-    ->Args({20000, 0})
-    ->Unit(benchmark::kMillisecond);
-
-// 4-SSSP: the four cheapest walk costs per node.
-void BM_KSssp4_Heap(benchmark::State& state) {
-  WeightedFixture f(static_cast<size_t>(state.range(0)));
-  const DenseEdgeWeightFn weight = f.Weight();
-  for (auto _ : state) {
-    auto r = KSsspHeapFrom(f.snap->adjacency(), f.src, weight, 4);
-    if (!r.ok()) state.SkipWithError("heap 4-sssp failed");
-    benchmark::DoNotOptimize(r);
-  }
-}
-BENCHMARK(BM_KSssp4_Heap)
-    ->Args({2000})
-    ->Args({20000})
-    ->Unit(benchmark::kMillisecond);
-
-void BM_KSssp4_Delta(benchmark::State& state) {
-  WeightedFixture f(static_cast<size_t>(state.range(0)));
-  const DenseEdgeWeightFn weight = f.Weight();
-  ParallelSsspOptions opts;
-  opts.parallelism = static_cast<size_t>(state.range(1));
-  opts.serial_cutoff = 0;
-  for (auto _ : state) {
-    auto r = DeltaKSsspFrom(f.snap->adjacency(), f.src, weight, 4, opts);
-    if (!r.ok()) state.SkipWithError("delta 4-sssp failed");
-    benchmark::DoNotOptimize(r);
-  }
-  state.SetLabel("parallelism=" + std::to_string(opts.parallelism));
-}
-BENCHMARK(BM_KSssp4_Delta)
-    ->Args({2000, 1})
-    ->Args({2000, 0})
-    ->Args({20000, 1})
-    ->Args({20000, 0})
-    ->Unit(benchmark::kMillisecond);
-
 // RPQ pair query: full forward fixpoint vs the bidirectional
 // meet-in-the-middle probe, src = first person, dst = last person.
 void BM_RpqPair_Forward(benchmark::State& state) {
@@ -316,12 +210,9 @@ BENCHMARK(BM_RpqPair_Bidirectional)
 // acceptance trajectory tracks the single-thread PerSource/Batched ratio
 // at SNB 20k.
 void BM_MultiSourceReach_PerSource(benchmark::State& state) {
-  WeightedFixture f(static_cast<size_t>(state.range(0)));
+  PathFixture f(static_cast<size_t>(state.range(0)));
   Nfa nfa = CompileOrDie(":knows*");
-  PathSearchContext ctx;
-  ctx.adj = &f.snap->adjacency();
-  ctx.nfa = &nfa;
-  ctx.snap = f.snap.get();
+  PathSearchContext ctx = f.Ctx(&nfa);
   const size_t n = std::min<size_t>(64, f.persons.size());
   size_t reached = 0;
   for (auto _ : state) {
@@ -342,12 +233,9 @@ BENCHMARK(BM_MultiSourceReach_PerSource)
     ->Unit(benchmark::kMillisecond);
 
 void BM_MultiSourceReach_Batched(benchmark::State& state) {
-  WeightedFixture f(static_cast<size_t>(state.range(0)));
+  PathFixture f(static_cast<size_t>(state.range(0)));
   Nfa nfa = CompileOrDie(":knows*");
-  PathSearchContext ctx;
-  ctx.adj = &f.snap->adjacency();
-  ctx.nfa = &nfa;
-  ctx.snap = f.snap.get();
+  PathSearchContext ctx = f.Ctx(&nfa);
   ctx.parallelism = static_cast<size_t>(state.range(1));
   const size_t n = std::min<size_t>(64, f.persons.size());
   std::vector<NodeId> sources(f.persons.begin(), f.persons.begin() + n);

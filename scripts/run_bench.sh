@@ -10,9 +10,10 @@
 #                                vs the PPG map-walk read path, plus
 #                                arena persistence: save / load / mmap
 #                                vs re-freeze at SNB 2k and 20k persons
-#   BENCH_paths.json           — parallel path engine ablation: serial
-#                                spec vs delta-stepping / batched waves /
-#                                bidirectional probes, parallelism 1 and max
+#   BENCH_paths.json           — path kernels over a frozen snapshot:
+#                                per-source spec vs batched 64-lane waves,
+#                                forward fixpoint vs bidirectional probe,
+#                                parallelism 1 and max
 #   BENCH_serving.json         — concurrent session serving: SNB query mix
 #                                QPS + p50/p95/p99, cold vs warm plan
 #                                cache, 1/2/max threads

@@ -1,10 +1,10 @@
 // The engine's one fan-out primitive.
 //
 // Every place that spreads work over threads — the executor's fused
-// pipeline stages, the hash-partitioned join probe, the parallel path
-// kernels — calls ParallelFor, and every `parallelism = 0` ("one per
-// hardware thread") is resolved by ResolveParallelism. How the engine
-// schedules threads is therefore decided here and nowhere else.
+// pipeline stages, the parallel path kernels — calls ParallelFor, and
+// every `parallelism = 0` ("one per hardware thread") is resolved by
+// ResolveParallelism. How the engine schedules threads is therefore
+// decided here and nowhere else.
 //
 // ParallelFor is deterministic by construction: each index owns its own
 // output slot in the caller, so results are a pure function of the input

@@ -371,10 +371,11 @@ Result<PathViewRelation> QueryEngine::MaterializePathView(
 
   GCORE_ASSIGN_OR_RETURN(const PathPropertyGraph* view_graph,
                          matcher.ResolveGraph(""));
-  ExprEvaluator eval(view_graph, catalog_);
+  // The view matcher's evaluator answers EXISTS and pattern predicates,
+  // in COST as in WHERE.
+  ExprEvaluator eval = matcher.MakeEvaluator(view_graph);
 
   if (clause.where != nullptr) {
-    // The view matcher's evaluator answers EXISTS and pattern predicates.
     GCORE_ASSIGN_OR_RETURN(
         table, matcher.FilterByConjuncts(std::move(table),
                                          {clause.where.get()}, view_graph));

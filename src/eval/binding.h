@@ -19,7 +19,7 @@
 //   * key hashing / row hashing: `RowHash(r)` and `Column::HashAt` walk
 //     the dense arrays and reproduce `HashRow` over a materialized row
 //     bit-for-bit (the dedup sinks depend on that equivalence);
-//   * TableJoin / TableJoinParallel build, probe and merge on typed key
+//   * TableJoin / TableLeftOuterJoin build, probe and merge on typed key
 //     columns (eval/binding_ops.cc) without materializing BindingRows;
 //   * Matcher::FilterByConjuncts gathers surviving row indices
 //     column-at-a-time (`AppendRowsFrom`);

@@ -1,12 +1,8 @@
 #include "eval/binding_ops.h"
 
-#include <algorithm>
 #include <optional>
 #include <tuple>
-#include <unordered_map>
 #include <utility>
-
-#include "common/parallel.h"
 
 namespace gcore {
 
@@ -176,9 +172,8 @@ class JoinDedupSink {
   }
 
   /// Appends µ1 ∪ µ2 unless an equal row is already present; the merged
-  /// row is only constructed on first occurrence. Returns the row hash
-  /// through `hash_out` when appended (parallel merge re-uses it).
-  bool InsertPair(size_t ra, size_t rb, size_t* hash_out = nullptr) {
+  /// row is only constructed on first occurrence.
+  void InsertPair(size_t ra, size_t rb) {
     // Reproduces HashRow over the would-be merged row (a-prefix, then
     // b-extras) without building it.
     size_t h = 0;
@@ -190,7 +185,7 @@ class JoinDedupSink {
     const bool fresh = seen_.InsertIfNew(h, out_->NumRows(), [&](size_t i) {
       return MergedEquals(i, ra, rb);
     });
-    if (!fresh) return false;
+    if (!fresh) return;
     for (size_t i = 0; i < a_->NumColumns(); ++i) {
       const auto [col, row] = MergedSrc(ra, rb, i);
       out_->MutableColumn(i).AppendFrom(*col, row);
@@ -200,8 +195,6 @@ class JoinDedupSink {
           .AppendFrom(b_.ColumnAt(b_extra_[k]), rb);
     }
     out_->CommitRow();
-    if (hash_out != nullptr) *hash_out = h;
-    return true;
   }
 
  private:
@@ -254,137 +247,6 @@ BindingTable JoinTracked(const BindingTable& a, const BindingTable& b,
 
 BindingTable TableJoin(const BindingTable& a, const BindingTable& b) {
   return JoinTracked(a, b, nullptr);
-}
-
-namespace {
-
-/// Build side of the partitioned parallel join: b's keyed rows sharded
-/// by shared-column hash. Bucket vectors keep b-row order, so candidate
-/// enumeration per probe row matches the unpartitioned ProbeIndex.
-constexpr size_t kJoinPartitions = 16;  // power of two
-constexpr size_t kJoinMorselRows = 2048;
-
-struct PartitionedBuild {
-  std::vector<std::unordered_map<size_t, std::vector<size_t>>> keyed;
-  std::vector<size_t> wildcard;
-
-  PartitionedBuild(const BindingTable& b,
-                   const std::vector<std::pair<size_t, size_t>>& shared)
-      : keyed(kJoinPartitions) {
-    for (size_t r = 0; r < b.NumRows(); ++r) {
-      size_t h = 0;
-      if (ProbeIndex::HashSharedAt<1>(b, r, shared, &h)) {
-        keyed[h & (kJoinPartitions - 1)][h].push_back(r);
-      } else {
-        wildcard.push_back(r);
-      }
-    }
-  }
-};
-
-/// One probe morsel's duplicate-free output with the row hashes the
-/// worker already computed (the order-preserving merge re-uses them).
-struct MorselJoinOut {
-  BindingTable rows;
-  std::vector<size_t> hashes;
-};
-
-}  // namespace
-
-namespace {
-
-/// TableJoinParallel with the same optional match tracking as
-/// JoinTracked (workers write disjoint probe-row ranges, so the bitmap
-/// needs no synchronization).
-BindingTable JoinParallelTracked(const BindingTable& a, const BindingTable& b,
-                                 size_t parallelism, size_t morsel_rows,
-                                 std::vector<char>* matched) {
-  const size_t morsel = morsel_rows == 0 ? kJoinMorselRows : morsel_rows;
-  const auto shared = ProbeIndex::SharedColumns(a, b);
-  if (parallelism <= 1 || a.NumRows() < 2 * morsel) {
-    return JoinTracked(a, b, matched);
-  }
-  // Probe rows with an unbound shared column enumerate candidates in
-  // hash-index iteration order, which a partitioned index cannot
-  // reproduce; keep those joins on the serial path so the parallel join
-  // is a drop-in replacement (identical rows, identical order).
-  for (size_t r = 0; r < a.NumRows(); ++r) {
-    size_t h = 0;
-    if (!ProbeIndex::HashSharedAt<0>(a, r, shared, &h)) {
-      return JoinTracked(a, b, matched);
-    }
-  }
-
-  std::vector<size_t> b_extra;
-  BindingTable out = JoinSchema(a, b, &b_extra);
-  const PartitionedBuild build(b, shared);
-
-  const size_t num_morsels = (a.NumRows() + morsel - 1) / morsel;
-  std::vector<MorselJoinOut> morsels(num_morsels);
-
-  auto probe_morsel = [&](size_t m) {
-    MorselJoinOut& local = morsels[m];
-    local.rows = BindingTable(out.columns());
-    JoinDedupSink sink(&local.rows, a, b, shared, b_extra);
-    const size_t lo = m * morsel;
-    const size_t hi = std::min(a.NumRows(), lo + morsel);
-    for (size_t r = lo; r < hi; ++r) {
-      size_t h = 0;
-      ProbeIndex::HashSharedAt<0>(a, r, shared, &h);  // pre-checked bound
-      auto emit = [&](size_t rb_idx) {
-        if (!ProbeIndex::CompatibleAt(a, r, b, rb_idx, shared)) return;
-        if (matched != nullptr) (*matched)[r] = 1;
-        size_t row_hash = 0;
-        if (sink.InsertPair(r, rb_idx, &row_hash)) {
-          local.hashes.push_back(row_hash);
-        }
-      };
-      const auto& partition = build.keyed[h & (kJoinPartitions - 1)];
-      auto it = partition.find(h);
-      if (it != partition.end()) {
-        for (size_t rb_idx : it->second) emit(rb_idx);
-      }
-      for (size_t rb_idx : build.wildcard) emit(rb_idx);
-    }
-  };
-
-  ParallelFor(parallelism, num_morsels, probe_morsel);
-
-  // Ordered merge: morsel-local sets concatenate in probe order through
-  // a global seen-set keyed by the worker-computed hashes (cross-morsel
-  // duplicates die here; rows move column-wise, nothing is re-hashed).
-  RowDedupSink sink(&out);
-  for (const auto& morsel_out : morsels) {
-    for (size_t i = 0; i < morsel_out.rows.NumRows(); ++i) {
-      sink.InsertFrom(morsel_out.rows, i, morsel_out.hashes[i]);
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-BindingTable TableJoinParallel(const BindingTable& a, const BindingTable& b,
-                               size_t parallelism, size_t morsel_rows) {
-  return JoinParallelTracked(a, b, parallelism, morsel_rows, nullptr);
-}
-
-BindingTable TableJoinSwapBuild(const BindingTable& a, const BindingTable& b,
-                                size_t parallelism, size_t morsel_rows) {
-  // Build over a / probe b, then re-merge into the canonical a-first
-  // schema: every canonical column copies the equally-named column of the
-  // swapped result wholesale. Cell values agree pair-by-pair with the
-  // unswapped join (a bound shared cell equals the b cell it matched; an
-  // unbound one was filled from b either way), so only row order differs.
-  BindingTable swapped = TableJoinParallel(b, a, parallelism, morsel_rows);
-  std::vector<size_t> b_extra;
-  BindingTable out = JoinSchema(a, b, &b_extra);
-  std::vector<size_t> kept(out.NumColumns());
-  for (size_t c = 0; c < out.NumColumns(); ++c) {
-    kept[c] = swapped.ColumnIndex(out.columns()[c]);
-  }
-  out.AdoptProjectedColumnsMove(std::move(swapped), kept);
-  return out;
 }
 
 /// Owns the build index and the chunk-spanning dedup state; lazily
@@ -441,7 +303,10 @@ BindingTable StreamingJoinProbe::Finish() {
   if (!s.started) s.Start(BindingTable());
   if (!s.swap_output) return std::move(s.out);
   // Canonical build-first schema, every column moved wholesale from the
-  // equally-named probe-first column (the TableJoinSwapBuild re-merge).
+  // equally-named probe-first column. Cell values agree pair-by-pair with
+  // the unswapped join (a bound shared cell equals the cell it matched;
+  // an unbound one was filled from the other side either way), so only
+  // row order differs from joining build ⋈ probe.
   std::vector<size_t> extra;
   BindingTable canonical = JoinSchema(s.build, s.probe_schema, &extra);
   std::vector<size_t> kept(canonical.NumColumns());
@@ -482,22 +347,12 @@ BindingTable TableAntijoin(const BindingTable& a, const BindingTable& b) {
 
 BindingTable TableLeftOuterJoin(const BindingTable& a,
                                 const BindingTable& b) {
-  BindingTable joined = TableJoin(a, b);
-  BindingTable missing = TableAntijoin(a, b);
-  return TableUnion(joined, missing);
-}
-
-BindingTable TableLeftOuterJoinParallel(const BindingTable& a,
-                                        const BindingTable& b,
-                                        size_t parallelism,
-                                        size_t morsel_rows) {
   // The join probe already visits every candidate of every a-row, so it
   // harvests the antijoin for free: rows that matched nothing are the
   // ∖-side, gathered in a-order exactly as TableAntijoin would emit them
   // — one hash build and one probe pass for the whole ⟕.
   std::vector<char> matched(a.NumRows(), 0);
-  BindingTable joined =
-      JoinParallelTracked(a, b, parallelism, morsel_rows, &matched);
+  BindingTable joined = JoinTracked(a, b, &matched);
   BindingTable missing(a.columns());
   for (const auto& [var, graph] : a.column_graphs()) {
     missing.SetColumnGraph(var, graph);

@@ -118,37 +118,16 @@ BindingTable TableUnion(const BindingTable& a, const BindingTable& b);
 /// whole-table rehash of the old trailing Deduplicate() is gone.
 BindingTable TableJoin(const BindingTable& a, const BindingTable& b);
 
-/// Ω1 ⋈ Ω2 with a hash-partitioned build and a morsel-parallel probe:
-/// build rows are partitioned by shared-column hash, probe morsels run
-/// on `parallelism` worker threads each with its own seen-set, and the
-/// per-morsel fragments are merged in probe order re-using the hashes
-/// computed by the workers. Output rows *and their order* are identical
-/// to TableJoin for every parallelism value (falls back to the serial
-/// fused path for small inputs, parallelism <= 1, or probe rows with
-/// unbound shared columns, whose candidate enumeration order is
-/// index-dependent). `morsel_rows` sets the probe-morsel granularity
-/// (0 = default; the executor threads ExecContext::morsel_size through
-/// so tests can force the partitioned path on tiny inputs).
-BindingTable TableJoinParallel(const BindingTable& a, const BindingTable& b,
-                               size_t parallelism, size_t morsel_rows = 0);
-
-/// Ω1 ⋈ Ω2 computed with the build/probe roles reversed — build over Ω1,
-/// probe Ω2 — and the result re-merged into the canonical Ω1-first column
-/// order of TableJoin(a, b), with identical schema and provenance. The
-/// output *set* equals TableJoin(a, b); only row order (probe order of b)
-/// differs. The planner requests this via PlanNode::swap_build when
-/// statistics predict the default build side (b) dwarfs a.
-BindingTable TableJoinSwapBuild(const BindingTable& a, const BindingTable& b,
-                                size_t parallelism, size_t morsel_rows = 0);
-
 /// Streaming probe side of Ω1 ⋈ Ω2: the build table is indexed once up
 /// front, then probe chunks are pushed in arrival order — the hash join
 /// no longer drains its probe input, so probing overlaps the upstream
 /// pipeline that is still producing it. Dedup state spans chunks, so the
 /// result is pinned byte-identical (rows *and* order) to draining the
-/// probe side and calling TableJoinParallel(probe, build) — or, with
-/// `swap_output`, to TableJoinSwapBuild(build, probe): Finish() re-merges
-/// the probe-first columns into the canonical build-first schema.
+/// probe side and calling TableJoin(probe, build). With `swap_output`,
+/// Finish() moves those columns into the canonical build-first schema
+/// and provenance of TableJoin(build, probe): the same set, in probe
+/// order. The planner requests the swap via PlanNode::swap_build when
+/// statistics predict the default build side dwarfs the other.
 class StreamingJoinProbe {
  public:
   StreamingJoinProbe(BindingTable build, bool swap_output);
@@ -168,23 +147,16 @@ class StreamingJoinProbe {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Ω1 ⟕ Ω2 = (Ω1 ⋈ Ω2) ∪ (Ω1 ∖ Ω2) with a morsel-parallel probe that
-/// computes both sides in one pass (rows matching nothing during the
-/// join probe are exactly the ∖ side) — OPTIONAL blocks stop serializing
-/// the pipeline. Byte-identical to TableLeftOuterJoin at every
-/// parallelism.
-BindingTable TableLeftOuterJoinParallel(const BindingTable& a,
-                                        const BindingTable& b,
-                                        size_t parallelism,
-                                        size_t morsel_rows = 0);
-
 /// Ω1 ⋉ Ω2: rows of Ω1 with at least one compatible row in Ω2.
 BindingTable TableSemijoin(const BindingTable& a, const BindingTable& b);
 
 /// Ω1 ∖ Ω2: rows of Ω1 with no compatible row in Ω2.
 BindingTable TableAntijoin(const BindingTable& a, const BindingTable& b);
 
-/// Ω1 ⟕ Ω2.
+/// Ω1 ⟕ Ω2 = (Ω1 ⋈ Ω2) ∪ (Ω1 ∖ Ω2) in one pass: the join probe also
+/// collects the left rows that matched nothing (the ∖ side), so one hash
+/// build and one probe loop answer the whole ⟕. Byte-identical (rows and
+/// order) to TableUnion(TableJoin(a, b), TableAntijoin(a, b)).
 BindingTable TableLeftOuterJoin(const BindingTable& a, const BindingTable& b);
 
 /// ⟦γ⟧G of one correlated subquery — a pattern predicate or an EXISTS

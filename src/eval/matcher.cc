@@ -563,10 +563,9 @@ Result<BindingTable> Matcher::ExpandPathHop(
   }
   const Nfa nfa = Nfa::Compile(*path.rpq);
   PathSearchContext ctx;
-  ctx.adj = &snap.adjacency();
+  ctx.snap = &snap;
   ctx.nfa = &nfa;
   ctx.views = ctx_.views;
-  ctx.snap = &snap;
   ctx.parallelism = ctx_.parallelism;
 
   // --- batch phase --------------------------------------------------------
@@ -586,7 +585,7 @@ Result<BindingTable> Matcher::ExpandPathHop(
   auto valid_src = [&](size_t r, NodeId* src) {
     if (from_cells.KindAt(r) != Datum::Kind::kNode) return false;
     *src = from_cells.NodeAt(r);
-    return ctx.adj->Contains(*src);
+    return ctx.adj().Contains(*src);
   };
   auto target_bound_to_node = [&](size_t r) {
     return to_cells != nullptr && to_cells->BoundAt(r) &&
@@ -686,8 +685,7 @@ Result<BindingTable> Matcher::ExpandPathHop(
       const size_t k = static_cast<size_t>(path.k);
       std::vector<std::map<NodeId, std::vector<FoundPath>>> per_src;
       std::string view_name;
-      if (!sources.empty() && k == 1 && ctx.max_hops == 0 &&
-          IsViewStar(*path.rpq, &view_name)) {
+      if (!sources.empty() && k == 1 && IsViewStar(*path.rpq, &view_name)) {
         // `<~view*>` degenerates the product search to plain SSSP over
         // the view's segment graph — run the delta-stepping kernel per
         // source instead of the product Dijkstra.
@@ -700,21 +698,20 @@ Result<BindingTable> Matcher::ExpandPathHop(
                                ctx_.views->Lookup(view_name));
         per_src.resize(sources.size());
         std::vector<Status> status(sources.size(), Status::OK());
-        ParallelSsspOptions opts;
         // Sources fan across threads already; nest workers only when a
         // lone source would leave the pool idle.
-        opts.parallelism = sources.size() > 1 ? 1 : ctx.parallelism;
+        const size_t inner = sources.size() > 1 ? 1 : ctx.parallelism;
         ParallelFor(ctx.parallelism, sources.size(), [&](size_t i) {
-          auto sssp = ViewStarSssp(*ctx.adj, *view, sources[i], opts);
+          auto sssp = ViewStarSssp(ctx.adj(), *view, sources[i], inner);
           if (!sssp.ok()) {
             status[i] = sssp.status();
             return;
           }
-          for (size_t n = 0; n < ctx.adj->num_nodes(); ++n) {
+          for (size_t n = 0; n < ctx.adj().num_nodes(); ++n) {
             const DenseNodeIndex dn = static_cast<DenseNodeIndex>(n);
             if (!sssp->Reached(dn)) continue;
-            const NodeId dst = ctx.adj->IdOf(dn);
-            auto body = ReconstructViewWalk(*ctx.adj, *sssp, sources[i], dst);
+            const NodeId dst = ctx.adj().IdOf(dn);
+            auto body = ReconstructViewWalk(ctx.adj(), *sssp, sources[i], dst);
             FoundPath found;
             found.cost = sssp->distance[dn];
             found.body = std::move(*body);
@@ -1170,7 +1167,10 @@ Result<BindingTable> Matcher::LegacyEvalMatchClause(const MatchClause& match) {
           FilterByConjuncts(std::move(block_table), {block.where.get()},
                             default_graph));
     }
-    table = TableLeftOuterJoin(table, block_table);
+    // The Appendix A.1 composition ⟕ = (⋈) ∪ (∖), written out: the
+    // oracle the planner's one-pass TableLeftOuterJoin is checked against.
+    table = TableUnion(TableJoin(table, block_table),
+                       TableAntijoin(table, block_table));
   }
 
   return ProjectResult(table, nullptr);

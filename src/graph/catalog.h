@@ -72,9 +72,10 @@ class GraphCatalog {
 
   /// Registers a graph from a snapshot image saved by SaveSnapshot
   /// (graph/snapshot_io.h): loads the arena (zero-copy mmap when
-  /// `use_mmap`), reconstructs the PPG it describes, reserves its ids in
-  /// the session allocator, and installs both with the usual
-  /// version/epoch bump and retirement of any replaced entry. The entry's
+  /// `use_mmap`), reconstructs the PPG it describes for the entry (the
+  /// snapshot itself holds no PPG), reserves its ids in the session
+  /// allocator, and installs both with the usual version/epoch bump and
+  /// retirement of any replaced entry. The entry's
   /// snapshot cache is pre-seeded with the loaded image, so the read path
   /// skips the freeze a cold RegisterGraph would pay. InvalidArgument on
   /// a corrupt or version-mismatched file.

@@ -46,7 +46,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -170,10 +169,9 @@ class GraphSnapshot {
 
   /// Attaches a snapshot over an existing arena image (the snapshot_io.h
   /// loaders produce these). Validates the header, region table and
-  /// intra-region invariants; InvalidArgument on a malformed image. The
-  /// result has no bound PPG (has_graph() is false) until BindGraph —
-  /// column reads, label spans, topology and the path kernels all work
-  /// without one, only graph() itself needs the binding.
+  /// intra-region invariants; InvalidArgument on a malformed image. A
+  /// snapshot holds no PPG, loaded or frozen: column reads, label spans,
+  /// topology and the path kernels all read the arena alone.
   static Result<std::shared_ptr<GraphSnapshot>> FromArena(ArenaBuffer arena);
 
   /// The packed image (snapshot_io.h serializes these bytes verbatim).
@@ -184,23 +182,13 @@ class GraphSnapshot {
   /// freezing the reconstruction yields a byte-identical image.
   PathPropertyGraph ReconstructGraph(std::string name = "") const;
 
-  /// Binds (shared ownership) the PPG this image describes — for loaded
-  /// snapshots, typically the ReconstructGraph() result — making graph()
-  /// and the PPG-reading evaluation tail (CONSTRUCT, expression eval)
-  /// usable on it.
-  void BindGraph(std::shared_ptr<const PathPropertyGraph> graph);
-
-  /// True when a source PPG is attached (always, for frozen snapshots).
-  bool has_graph() const { return adj_.has_graph(); }
-  const PathPropertyGraph& graph() const { return adj_.graph(); }
   /// The CSR out/in topology (same dense node numbering as the rest of
   /// the snapshot); path finders keep consuming this type directly.
   const AdjacencyIndex& adjacency() const { return adj_; }
 
   size_t num_nodes() const { return adj_.num_nodes(); }
   size_t num_edges() const { return num_edges_; }
-  /// Stored paths carried in the arena's path region (σ/λ/δ of P);
-  /// available without a bound PPG.
+  /// Stored paths carried in the arena's path region (σ/λ/δ of P).
   size_t num_paths() const { return num_paths_; }
 
   // --- labels ----------------------------------------------------------------
@@ -270,32 +258,6 @@ class GraphSnapshot {
     return edge_columns_;
   }
 
-  /// Numeric fast-path view over one edge property column, for weighted
-  /// path kernels: a `COST x.w` expression over int/double singletons
-  /// reduces to one kind-byte test and one slot read per edge, keyed by
-  /// the dense edge index the adjacency entries already carry. Non-numeric
-  /// and absent cells yield nullopt ("traversal has no weight here").
-  struct EdgeWeightView {
-    const PropertyColumn* col = nullptr;
-    bool valid() const { return col != nullptr; }
-    std::optional<double> At(DenseEdgeIndex e) const {
-      if (col == nullptr) return std::nullopt;
-      switch (col->KindAt(e)) {
-        case PropKind::kInt:
-          return static_cast<double>(col->IntAt(e));
-        case PropKind::kDouble:
-          return col->DoubleAt(e);
-        default:
-          return std::nullopt;
-      }
-    }
-  };
-  /// Weight view of edge key `key`; `valid()` is false when no edge
-  /// carries the key.
-  EdgeWeightView EdgeWeights(const std::string& key) const {
-    return EdgeWeightView{EdgeColumn(key)};
-  }
-
   // --- string pool -----------------------------------------------------------
   // The pool is sorted by content (ids are assigned at pack time), so
   // InternedString is a binary search over the offset table — no hash map
@@ -343,13 +305,11 @@ class GraphSnapshot {
 
   /// Points every accessor member into arena_ (and decodes the small
   /// materialized side tables: label names, column directory, overflow
-  /// sets). `graph` is the PPG to bind (null for loaded images);
-  /// `trusted` skips the structural validation for freshly packed arenas.
-  Status Attach(const PathPropertyGraph* graph, bool trusted);
+  /// sets). `trusted` skips the structural validation for freshly packed
+  /// arenas.
+  Status Attach(bool trusted);
 
   ArenaBuffer arena_;
-  /// Keeps a reconstructed PPG alive for loaded images (BindGraph).
-  std::shared_ptr<const PathPropertyGraph> bound_graph_;
 
   AdjacencyIndex adj_;  // borrowed mode, over the arena
 

@@ -1,100 +1,39 @@
-// Delta-stepping parallel SSSP / K-SSSP kernels (Meyer & Sanders) over
-// the CSR adjacency, plus the PATH-view specialization behind the
-// engine's `<~w*>` weighted-shortest fast path.
+// Delta-stepping SSSP (Meyer & Sanders) over the segment graph of one
+// PATH view: the engine's `<~w*>` weighted-shortest fast path.
 //
-// Shape: distances are kept in buckets of width Δ; one bucket at a time
-// is relaxed to a fixpoint, with the frontier's edge scans fanned onto
-// worker threads that emit relaxation candidates into per-slice buffers.
-// A coordinator merges the buffers serially under the canonical
-// acceptance rule, so the result is a pure function of the input at
-// every parallelism degree:
+// Shape: distances are kept in buckets of width Δ (the mean sampled
+// segment cost); one bucket at a time is relaxed to a fixpoint, with the
+// frontier's segment scans fanned onto worker threads that emit
+// relaxation candidates into per-slice buffers. A coordinator merges the
+// buffers serially under the canonical acceptance rule, so the result is
+// a pure function of the input at every parallelism degree:
 //
 //   * a candidate with a strictly smaller distance always wins;
-//   * at equal distance (and strictly positive edge weight), the parent
-//     with the lexicographically smallest (parent node, edge id) pair
-//     wins — the paper's "fixed lexicographical order" tiebreak
-//     (Appendix A.1, footnote 4), the same rule the serial binary-heap
-//     DijkstraFrom applies, so delta ≡ heap on distances *and* parents.
-//     (Zero-weight ties keep exact distances but leave the parent choice
-//     to discovery order — a positive-weight tie parent is provably
-//     cycle-free, a zero-weight one is not.)
+//   * at equal distance, the parent with the lexicographically smallest
+//     (parent node, segment ordinal) pair wins — the paper's "fixed
+//     lexicographical order" tiebreak (Appendix A.1, footnote 4). View
+//     costs are > 0 by construction, so such a parent is strictly closer
+//     and the parent forest stays acyclic.
 //
-// DijkstraFrom (dijkstra.h) stays the executable spec: graphs below
-// ParallelSsspOptions::serial_cutoff take it verbatim, and the
-// differential suite (tests/paths/parallel_paths_test.cc) pins the
-// kernels against it at parallelism 1/2/8.
+// The product Dijkstra (KShortestPathsFrom over `~w*`, k_shortest.h) is
+// the executable spec: tests/paths/parallel_paths_test.cc pins distances
+// against it at parallelism 1/2/8, and bodies where walks are unique.
 #ifndef GCORE_PATHS_DELTA_STEPPING_H_
 #define GCORE_PATHS_DELTA_STEPPING_H_
 
-#include <functional>
 #include <optional>
 #include <vector>
 
 #include "common/result.h"
-#include "graph/snapshot.h"
+#include "graph/adjacency.h"
 #include "paths/dijkstra.h"
 #include "paths/path_view.h"
 
 namespace gcore {
 
-/// Weight of traversing one half-edge. Entry-keyed (unlike EdgeWeightFn)
-/// so snapshot weight columns can be read by dense index without a
-/// per-edge binary search.
-using DenseEdgeWeightFn =
-    std::function<std::optional<double>(const AdjacencyEntry&)>;
-
-/// Adapts an id-keyed EdgeWeightFn (the DijkstraFrom signature).
-DenseEdgeWeightFn WrapWeightFn(EdgeWeightFn fn);
-
-/// The `x.w`-cost fast path: weights straight from a snapshot edge
-/// column via AdjacencyEntry::edge_dense — one kind byte and one slot
-/// read per half-edge.
-DenseEdgeWeightFn SnapshotWeightFn(GraphSnapshot::EdgeWeightView weights);
-
-/// Tuning knobs of the parallel kernels.
-struct ParallelSsspOptions {
-  /// Worker threads for frontier edge scans; 0 = hardware concurrency.
-  size_t parallelism = 1;
-  /// Bucket width; 0 = auto (mean sampled edge weight).
-  double delta = 0.0;
-  /// Below this many nodes the serial heap runs instead (bucket overhead
-  /// exceeds the win); 0 disables the fallback (differential tests).
-  size_t serial_cutoff = 2048;
-};
-
-/// Delta-stepping single-source shortest paths. Result-identical to
-/// DijkstraFrom for strictly positive weights (see header comment);
-/// negative weights are an error.
-Result<SsspResult> DeltaSsspFrom(const AdjacencyIndex& adj, NodeId src,
-                                 const DenseEdgeWeightFn& weight,
-                                 const ParallelSsspOptions& opts = {},
-                                 bool follow_forward = true,
-                                 bool follow_backward = false);
-
-/// K-SSSP: the k cheapest walk costs per node, ascending, with walk
-/// multiplicity (two distinct walks of equal cost occupy two slots) —
-/// the katana K_SSSP contract. Indexed by dense node index.
-using KSsspDistances = std::vector<std::vector<double>>;
-
-/// Serial executable spec: binary-heap label-correcting search popping at
-/// most k labels per node.
-Result<KSsspDistances> KSsspHeapFrom(const AdjacencyIndex& adj, NodeId src,
-                                     const DenseEdgeWeightFn& weight,
-                                     size_t k, bool follow_forward = true,
-                                     bool follow_backward = false);
-
-/// Bucketed parallel K-SSSP; value-identical to KSsspHeapFrom.
-Result<KSsspDistances> DeltaKSsspFrom(const AdjacencyIndex& adj, NodeId src,
-                                      const DenseEdgeWeightFn& weight,
-                                      size_t k,
-                                      const ParallelSsspOptions& opts = {},
-                                      bool follow_forward = true,
-                                      bool follow_backward = false);
-
 /// SSSP over the segment graph of one PATH view — the `<~w*>` regex
 /// shape, where the graph × NFA product degenerates to a plain weighted
-/// graph whose edges are view segments (cost > 0 enforced at view
-/// construction, so parents are fully canonical).
+/// graph whose edges are view segments.
 struct ViewSsspResult {
   std::vector<double> distance;  // SsspResult::kUnreachable when not reached
   std::vector<int64_t> parent;   // dense parent node, -1 for source/unreached
@@ -104,9 +43,11 @@ struct ViewSsspResult {
   }
 };
 
+/// `parallelism` worker threads scan each bucket's frontier (0 = one per
+/// hardware thread); the result is identical at every degree.
 Result<ViewSsspResult> ViewStarSssp(const AdjacencyIndex& adj,
                                     const PathViewRelation& view, NodeId src,
-                                    const ParallelSsspOptions& opts = {});
+                                    size_t parallelism);
 
 /// Concatenates the parent segment chain into the walk from `src` to
 /// `dst`; nullopt when unreached. dst == src yields the empty walk.

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <queue>
 
-#include "graph/snapshot.h"
 #include "paths/frontier.h"
 
 namespace gcore {
@@ -21,7 +20,6 @@ struct TraversalStep {
 /// One Dijkstra label in the product space.
 struct Label {
   double cost = 0.0;
-  uint32_t hops = 0;
   DenseNodeIndex node = 0;
   NfaStateId state = 0;
   int32_t parent = -1;  // index into the label arena
@@ -44,18 +42,18 @@ class ProductDijkstra {
   ProductDijkstra(const PathSearchContext& ctx, NodeId src, size_t k,
                   std::optional<NodeId> single_dst)
       : ctx_(ctx),
-        nfa_(*ctx.nfa, *ctx.adj, ctx.snap),
+        nfa_(*ctx.nfa, *ctx.snap),
         k_(k),
         single_dst_(single_dst),
         num_states_(ctx.nfa->num_states()) {
-    src_idx_ = ctx_.adj->IndexOf(src);
+    src_idx_ = ctx_.adj().IndexOf(src);
   }
 
   Result<std::map<NodeId, std::vector<FoundPath>>> Run() {
-    const size_t product_size = ctx_.adj->num_nodes() * num_states_;
+    const size_t product_size = ctx_.adj().num_nodes() * num_states_;
     pops_.assign(product_size, 0);
 
-    PushLabel(Label{0.0, 0, src_idx_, ctx_.nfa->start(), -1, {}});
+    PushLabel(Label{0.0, src_idx_, ctx_.nfa->start(), -1, {}});
 
     std::map<NodeId, std::vector<FoundPath>> results;
     size_t single_dst_found = 0;
@@ -69,7 +67,7 @@ class ProductDijkstra {
       ++pop_count;
 
       if (lab.state == ctx_.nfa->accept()) {
-        const NodeId dst = ctx_.adj->IdOf(lab.node);
+        const NodeId dst = ctx_.adj().IdOf(lab.node);
         std::vector<FoundPath>& found = results[dst];
         if (found.size() < k_) {
           FoundPath path = Reconstruct(top.label);
@@ -131,14 +129,13 @@ class ProductDijkstra {
   Status Expand(uint32_t label_idx) {
     // Copy: pushing labels may reallocate the arena.
     const Label lab = labels_[label_idx];
-    if (ctx_.max_hops != 0 && lab.hops >= ctx_.max_hops) return Status::OK();
-    const NodeId here = ctx_.adj->IdOf(lab.node);
+    const NodeId here = ctx_.adj().IdOf(lab.node);
 
     for (const CompiledTransition& t : nfa_.TransitionsFrom(lab.state)) {
       switch (t.type) {
         case NfaTransition::Type::kEpsilon: {
           if (ZeroWidthCycle(label_idx, lab.node, t.target)) break;
-          PushLabel(Label{lab.cost, lab.hops, lab.node, t.target,
+          PushLabel(Label{lab.cost, lab.node, t.target,
                           static_cast<int32_t>(label_idx),
                           {}});
           break;
@@ -146,7 +143,7 @@ class ProductDijkstra {
         case NfaTransition::Type::kNodeTest: {
           if (!nfa_.NodeAdmitted(t, lab.node)) break;
           if (ZeroWidthCycle(label_idx, lab.node, t.target)) break;
-          PushLabel(Label{lab.cost, lab.hops, lab.node, t.target,
+          PushLabel(Label{lab.cost, lab.node, t.target,
                           static_cast<int32_t>(label_idx),
                           {}});
           break;
@@ -166,15 +163,12 @@ class ProductDijkstra {
           GCORE_ASSIGN_OR_RETURN(const PathViewRelation* rel,
                                  ctx_.views->Lookup(*t.label));
           for (const PathViewSegment& seg : rel->SegmentsFrom(here)) {
-            if (!ctx_.adj->Contains(seg.dst)) continue;
+            if (!ctx_.adj().Contains(seg.dst)) continue;
             TraversalStep step;
             step.kind = TraversalStep::Kind::kViewSegment;
             step.segment = &seg;
-            PushLabel(Label{
-                lab.cost + seg.cost,
-                lab.hops + static_cast<uint32_t>(seg.body.edges.size()),
-                ctx_.adj->IndexOf(seg.dst), t.target,
-                static_cast<int32_t>(label_idx), step});
+            PushLabel(Label{lab.cost + seg.cost, ctx_.adj().IndexOf(seg.dst),
+                            t.target, static_cast<int32_t>(label_idx), step});
           }
           break;
         }
@@ -192,18 +186,18 @@ class ProductDijkstra {
         TraversalStep step;
         step.kind = TraversalStep::Kind::kEdge;
         step.edge = e->edge;
-        PushLabel(Label{lab.cost + 1.0, lab.hops + 1, e->neighbor, t.target,
+        PushLabel(Label{lab.cost + 1.0, e->neighbor, t.target,
                         static_cast<int32_t>(label_idx), step});
       }
     };
     if (t.type == NfaTransition::Type::kAnyEdge ||
         t.type == NfaTransition::Type::kEdgeForward) {
-      auto [b, e] = ctx_.adj->Out(lab.node);
+      auto [b, e] = ctx_.adj().Out(lab.node);
       try_entries(b, e);
     }
     if (t.type == NfaTransition::Type::kAnyEdge ||
         t.type == NfaTransition::Type::kEdgeBackward) {
-      auto [b, e] = ctx_.adj->In(lab.node);
+      auto [b, e] = ctx_.adj().In(lab.node);
       try_entries(b, e);
     }
   }
@@ -216,20 +210,18 @@ class ProductDijkstra {
     }
     FoundPath out;
     out.cost = labels_[label_idx].cost;
-    out.body.nodes.push_back(ctx_.adj->IdOf(src_idx_));
-    const PathPropertyGraph& graph = ctx_.adj->graph();
+    out.body.nodes.push_back(ctx_.adj().IdOf(src_idx_));
     for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
       const Label& l = **it;
       switch (l.step.kind) {
         case TraversalStep::Kind::kNone:
           break;
-        case TraversalStep::Kind::kEdge: {
-          const NodeId prev = out.body.nodes.back();
-          auto [s, d] = graph.EdgeEndpoints(l.step.edge);
+        case TraversalStep::Kind::kEdge:
+          // The label sits on the node the half-edge led to — the far
+          // endpoint in either direction, also across a self loop.
           out.body.edges.push_back(l.step.edge);
-          out.body.nodes.push_back(s == prev ? d : s);
+          out.body.nodes.push_back(ctx_.adj().IdOf(l.node));
           break;
-        }
         case TraversalStep::Kind::kViewSegment: {
           const PathBody& seg = l.step.segment->body;
           // Junction node is already present; append the rest.
@@ -246,7 +238,7 @@ class ProductDijkstra {
   }
 
   const PathSearchContext& ctx_;
-  /// Admission over interned snapshot labels when ctx.snap is set.
+  /// Admission over interned snapshot labels.
   const CompiledNfa nfa_;
   const size_t k_;
   const std::optional<NodeId> single_dst_;
@@ -261,7 +253,7 @@ class ProductDijkstra {
 };
 
 Status ValidateContext(const PathSearchContext& ctx, NodeId src, size_t k) {
-  if (ctx.adj == nullptr || ctx.nfa == nullptr) {
+  if (ctx.snap == nullptr || ctx.nfa == nullptr) {
     return Status::InvalidArgument("path search context is incomplete");
   }
   if (k == 0) {
@@ -270,7 +262,7 @@ Status ValidateContext(const PathSearchContext& ctx, NodeId src, size_t k) {
   if (k > 255) {
     return Status::InvalidArgument("k-shortest supports k <= 255");
   }
-  if (!ctx.adj->Contains(src)) {
+  if (!ctx.adj().Contains(src)) {
     return Status::InvalidArgument("source node is not in the graph");
   }
   return Status::OK();
@@ -289,7 +281,7 @@ Result<std::vector<FoundPath>> KShortestPaths(const PathSearchContext& ctx,
                                               NodeId src, NodeId dst,
                                               size_t k) {
   GCORE_RETURN_NOT_OK(ValidateContext(ctx, src, k));
-  if (!ctx.adj->Contains(dst)) {
+  if (!ctx.adj().Contains(dst)) {
     return Status::InvalidArgument("destination node is not in the graph");
   }
   ProductDijkstra search(ctx, src, k, dst);

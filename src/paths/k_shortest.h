@@ -18,13 +18,11 @@
 #include <vector>
 
 #include "common/result.h"
-#include "graph/adjacency.h"
+#include "graph/snapshot.h"
 #include "paths/nfa.h"
 #include "paths/path_view.h"
 
 namespace gcore {
-
-class GraphSnapshot;
 
 /// One discovered conforming walk.
 struct FoundPath {
@@ -38,20 +36,19 @@ struct FoundPath {
 
 /// Inputs shared by all path searches.
 struct PathSearchContext {
-  const AdjacencyIndex* adj = nullptr;
+  /// The frozen graph searched; required. Kernels walk its CSR topology
+  /// and admit edge/node labels via interned ids over dense indices
+  /// (CompiledNfa) — no path kernel reads a PathPropertyGraph.
+  const GraphSnapshot* snap = nullptr;
   const Nfa* nfa = nullptr;
   /// Required iff the regex references `~view` atoms.
   const PathViewRegistry* views = nullptr;
-  /// Optional frozen snapshot of the same graph. When set, kernels admit
-  /// edge/node labels via interned ids over dense indices (CompiledNfa)
-  /// instead of the PPG's string label sets — same semantics, no string
-  /// compares on the hot path.
-  const GraphSnapshot* snap = nullptr;
-  /// Safety bound on walk length in edges (0 = unlimited).
-  size_t max_hops = 0;
   /// Worker threads for the batched kernels (1 = serial, 0 = one per
   /// hardware thread). Kernel results are identical at every degree.
   size_t parallelism = 1;
+
+  /// The snapshot's topology (requires `snap`).
+  const AdjacencyIndex& adj() const { return snap->adjacency(); }
 };
 
 /// Finds, for every destination node reachable from `src` by a walk

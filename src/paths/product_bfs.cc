@@ -37,14 +37,14 @@ class ViewResolver {
 
 Status ProductReachability(const PathSearchContext& ctx, NodeId src,
                            std::vector<bool>* marks) {
-  if (ctx.adj == nullptr || ctx.nfa == nullptr) {
+  if (ctx.snap == nullptr || ctx.nfa == nullptr) {
     return Status::InvalidArgument("path search context is incomplete");
   }
-  if (!ctx.adj->Contains(src)) {
+  if (!ctx.adj().Contains(src)) {
     return Status::InvalidArgument("source node is not in the graph");
   }
-  const AdjacencyIndex& adj = *ctx.adj;
-  const CompiledNfa nfa(*ctx.nfa, adj, ctx.snap);
+  const AdjacencyIndex& adj = ctx.adj();
+  const CompiledNfa nfa(*ctx.nfa, *ctx.snap);
   const size_t num_states = nfa.num_states();
   marks->assign(adj.num_nodes() * num_states, false);
 
@@ -166,10 +166,10 @@ Result<std::set<NodeId>> ReachableFrom(const PathSearchContext& ctx,
   const NfaStateId accept = ctx.nfa->accept();
   std::set<NodeId> out;
   // Dense indices ascend with node id: end-hinted insertion is O(1).
-  for (size_t n = 0; n < ctx.adj->num_nodes(); ++n) {
+  for (size_t n = 0; n < ctx.adj().num_nodes(); ++n) {
     if (marks[n * num_states + accept]) {
       out.emplace_hint(out.end(),
-                       ctx.adj->IdOf(static_cast<DenseNodeIndex>(n)));
+                       ctx.adj().IdOf(static_cast<DenseNodeIndex>(n)));
     }
   }
   return out;
@@ -184,11 +184,11 @@ namespace {
 class BidirSide {
  public:
   BidirSide(const PathSearchContext& ctx, const Nfa& nfa, bool backward)
-      : adj_(*ctx.adj),
-        nfa_(nfa, *ctx.adj, ctx.snap),
+      : adj_(ctx.adj()),
+        nfa_(nfa, *ctx.snap),
         resolver_(ctx.views),
         backward_(backward),
-        marks_(ctx.adj->num_nodes() * nfa.num_states(), false) {}
+        marks_(ctx.adj().num_nodes() * nfa.num_states(), false) {}
 
   const std::vector<bool>& marks() const { return marks_; }
   size_t frontier_size() const { return frontier_.size(); }
@@ -304,19 +304,19 @@ class BidirSide {
 
 Result<bool> IsReachable(const PathSearchContext& ctx, NodeId src,
                          NodeId dst) {
-  if (ctx.adj == nullptr || ctx.nfa == nullptr) {
+  if (ctx.snap == nullptr || ctx.nfa == nullptr) {
     return Status::InvalidArgument("path search context is incomplete");
   }
-  if (!ctx.adj->Contains(src)) {
+  if (!ctx.adj().Contains(src)) {
     return Status::InvalidArgument("source node is not in the graph");
   }
-  if (!ctx.adj->Contains(dst)) return false;
+  if (!ctx.adj().Contains(dst)) return false;
 
   const Nfa reversed = ctx.nfa->Reversed();
   BidirSide fwd(ctx, *ctx.nfa, /*backward=*/false);
   BidirSide bwd(ctx, reversed, /*backward=*/true);
-  if (fwd.Seed(ctx.adj->IndexOf(src), ctx.nfa->start(), bwd)) return true;
-  if (bwd.Seed(ctx.adj->IndexOf(dst), reversed.start(), fwd)) return true;
+  if (fwd.Seed(ctx.adj().IndexOf(src), ctx.nfa->start(), bwd)) return true;
+  if (bwd.Seed(ctx.adj().IndexOf(dst), reversed.start(), fwd)) return true;
 
   // Alternate expanding the smaller frontier; a side running dry has
   // computed its full fixpoint, so no meet means no conforming walk.

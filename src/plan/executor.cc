@@ -397,12 +397,10 @@ class DrainingFilterOp : public PhysicalOp {
 /// so probing overlaps whatever pipeline is still producing them.
 class HashJoinOp : public PhysicalOp {
  public:
-  HashJoinOp(const PlanNode* plan, OpPtr left, OpPtr right, ExecContext exec,
-             ExecStats* stats)
+  HashJoinOp(const PlanNode* plan, OpPtr left, OpPtr right, ExecStats* stats)
       : plan_(plan),
         left_(std::move(left)),
         right_(std::move(right)),
-        exec_(exec),
         stats_(stats) {}
 
   Result<std::optional<BindingTable>> Next() override {
@@ -414,7 +412,8 @@ class HashJoinOp : public PhysicalOp {
     // larger — the planner's build-side rule. Never a runtime size check,
     // so execution stays deterministic for a given plan. The streamed
     // result is pinned byte-identical to draining both sides and calling
-    // TableJoinParallel / TableJoinSwapBuild.
+    // TableJoin(probe, build) (columns moved into the canonical schema
+    // when swapped).
     PhysicalOp* build_op = plan_->swap_build ? left_.get() : right_.get();
     PhysicalOp* probe_op = plan_->swap_build ? right_.get() : left_.get();
     GCORE_ASSIGN_OR_RETURN(BindingTable build, Drain(build_op));
@@ -446,22 +445,19 @@ class HashJoinOp : public PhysicalOp {
   const PlanNode* plan_;
   OpPtr left_;
   OpPtr right_;
-  ExecContext exec_;
   ExecStats* stats_;
   bool done_ = false;
 };
 
-/// OPTIONAL chaining: ⟕ of the main plan with one block. The composition
-/// (join ∪ antijoin) probes morsel-parallel (eval/binding_ops.h), so
-/// OPTIONAL blocks no longer serialize the pipeline.
+/// OPTIONAL chaining: ⟕ of the main plan with one block, in one probe
+/// pass that also collects the unmatched left rows (eval/binding_ops.h).
 class LeftOuterJoinOp : public PhysicalOp {
  public:
   LeftOuterJoinOp(const PlanNode* plan, OpPtr left, OpPtr right,
-                  ExecContext exec, ExecStats* stats)
+                  ExecStats* stats)
       : plan_(plan),
         left_(std::move(left)),
         right_(std::move(right)),
-        exec_(exec),
         stats_(stats) {}
 
   Result<std::optional<BindingTable>> Next() override {
@@ -470,10 +466,7 @@ class LeftOuterJoinOp : public PhysicalOp {
     GCORE_ASSIGN_OR_RETURN(BindingTable left, Drain(left_.get()));
     GCORE_ASSIGN_OR_RETURN(BindingTable right, Drain(right_.get()));
     const auto t0 = std::chrono::steady_clock::now();
-    BindingTable joined =
-        TableLeftOuterJoinParallel(left, right,
-                                   ResolveParallelism(exec_.parallelism),
-                                   exec_.MorselRows());
+    BindingTable joined = TableLeftOuterJoin(left, right);
     if (stats_ != nullptr) {
       stats_->Record(plan_, joined.NumRows());
       stats_->RecordTime(plan_, MsSince(t0));
@@ -485,7 +478,6 @@ class LeftOuterJoinOp : public PhysicalOp {
   const PlanNode* plan_;
   OpPtr left_;
   OpPtr right_;
-  ExecContext exec_;
   ExecStats* stats_;
   bool done_ = false;
 };
@@ -725,13 +717,13 @@ Result<std::unique_ptr<PhysicalOp>> Executor::Build(const PlanNode& plan) {
       GCORE_ASSIGN_OR_RETURN(OpPtr left, Build(*plan.children[0]));
       GCORE_ASSIGN_OR_RETURN(OpPtr right, Build(*plan.children[1]));
       return OpPtr(new HashJoinOp(&plan, std::move(left), std::move(right),
-                                  exec_, stats_));
+                                  stats_));
     }
     case PlanOp::kLeftOuterJoin: {
       GCORE_ASSIGN_OR_RETURN(OpPtr left, Build(*plan.children[0]));
       GCORE_ASSIGN_OR_RETURN(OpPtr right, Build(*plan.children[1]));
       return OpPtr(new LeftOuterJoinOp(&plan, std::move(left),
-                                       std::move(right), exec_, stats_));
+                                       std::move(right), stats_));
     }
     case PlanOp::kProject: {
       GCORE_ASSIGN_OR_RETURN(OpPtr child, Build(*plan.children[0]));

@@ -11,9 +11,9 @@
 // emits the slots in input order, so execution is deterministic at every
 // parallelism degree and a single-morsel input stays on the calling
 // thread. Joins and the final Project are pipeline breakers (they drain
-// their inputs), as in any hash-based executor; HashJoin uses the
-// hash-partitioned parallel join with fused duplicate elimination
-// (eval/binding_ops.h).
+// their inputs), as in any hash-based executor; HashJoin drains only its
+// build side and streams probe chunks through one hash index with fused
+// duplicate elimination (eval/binding_ops.h).
 #ifndef GCORE_PLAN_EXECUTOR_H_
 #define GCORE_PLAN_EXECUTOR_H_
 

@@ -144,46 +144,6 @@ TEST(TableJoin, DeduplicatesMergedRows) {
   EXPECT_EQ(TableJoin(a, b).NumRows(), 1u);
 }
 
-TEST(TableJoinParallel, IdenticalRowsAndOrderToSerialJoin) {
-  // Inputs large enough for the partitioned parallel path (> 2 morsels),
-  // with duplicate rows so cross-morsel dedup is exercised.
-  BindingTable a({"x", "y"});
-  for (uint64_t i = 0; i < 6000; ++i) {
-    ASSERT_TRUE(a.AddRow({N(i % 1500), N(10000 + i % 600)}).ok());
-  }
-  BindingTable b({"y", "z"});
-  for (uint64_t j = 0; j < 3000; ++j) {
-    ASSERT_TRUE(b.AddRow({N(10000 + j % 600), N(20000 + j % 900)}).ok());
-  }
-  const BindingTable serial = TableJoin(a, b);
-  for (size_t degree : {2, 4, 8}) {
-    const BindingTable parallel = TableJoinParallel(a, b, degree);
-    ASSERT_EQ(parallel.NumRows(), serial.NumRows()) << degree;
-    EXPECT_EQ(parallel.columns(), serial.columns());
-    for (size_t r = 0; r < serial.NumRows(); ++r) {
-      ASSERT_EQ(parallel.Row(r), serial.Row(r)) << "row " << r;
-    }
-  }
-}
-
-TEST(TableJoinParallel, UnboundSharedColumnsFallBackToSerial) {
-  BindingTable a({"x", "y"});
-  for (uint64_t i = 0; i < 5000; ++i) {
-    ASSERT_TRUE(a.AddRow({N(i), N(10000 + i % 100)}).ok());
-  }
-  ASSERT_TRUE(a.AddRow({N(5000), Datum::Unbound()}).ok());
-  BindingTable b({"y", "z"});
-  for (uint64_t j = 0; j < 100; ++j) {
-    ASSERT_TRUE(b.AddRow({N(10000 + j), N(20000 + j)}).ok());
-  }
-  const BindingTable serial = TableJoin(a, b);
-  const BindingTable parallel = TableJoinParallel(a, b, 4);
-  ASSERT_EQ(parallel.NumRows(), serial.NumRows());
-  for (size_t r = 0; r < serial.NumRows(); ++r) {
-    ASSERT_EQ(parallel.Row(r), serial.Row(r)) << "row " << r;
-  }
-}
-
 TEST(TableJoin, EmptyOperandYieldsEmpty) {
   BindingTable a = Make({"x"}, {});
   BindingTable b = Make({"x"}, {{N(1)}});
@@ -216,9 +176,27 @@ void ExpectSameRowsAndOrder(const BindingTable& got,
                             const BindingTable& want) {
   ASSERT_EQ(got.NumRows(), want.NumRows());
   ASSERT_EQ(got.columns(), want.columns());
+  EXPECT_EQ(got.column_graphs(), want.column_graphs());
   for (size_t r = 0; r < want.NumRows(); ++r) {
     ASSERT_EQ(got.Row(r), want.Row(r)) << "row " << r;
   }
+}
+
+/// The swap-build oracle: TableJoin(b, a) — build over a, probe b — with
+/// its columns moved into the schema and provenance of TableJoin(a, b).
+BindingTable SwappedJoin(const BindingTable& a, const BindingTable& b) {
+  const BindingTable canonical = TableJoin(a, b);
+  const BindingTable swapped = TableJoin(b, a);
+  BindingTable out(canonical.columns());
+  for (const auto& [var, graph] : canonical.column_graphs()) {
+    out.SetColumnGraph(var, graph);
+  }
+  std::vector<size_t> kept;
+  for (const auto& col : canonical.columns()) {
+    kept.push_back(swapped.ColumnIndex(col));
+  }
+  out.AdoptProjectedColumns(swapped, kept);
+  return out;
 }
 
 TEST(StreamingJoinProbe, PinnedToDrainedJoinAtEveryChunking) {
@@ -242,18 +220,23 @@ TEST(StreamingJoinProbe, PinnedToDrainedJoinAtEveryChunking) {
   }
 }
 
-TEST(StreamingJoinProbe, SwapOutputPinnedToTableJoinSwapBuild) {
+TEST(StreamingJoinProbe, SwapOutputPinnedToMovedReverseJoin) {
   BindingTable a({"x", "y"});
+  a.SetColumnGraph("x", "ga");
+  a.SetColumnGraph("y", "ga");
   for (uint64_t i = 0; i < 60; ++i) {
     ASSERT_TRUE(a.AddRow({N(i % 20), N(10000 + i % 15)}).ok());
   }
   BindingTable b({"y", "z"});
+  b.SetColumnGraph("y", "gb");
+  b.SetColumnGraph("z", "gb");
   for (uint64_t j = 0; j < 300; ++j) {
     ASSERT_TRUE(b.AddRow({N(10000 + j % 15), N(20000 + j % 45)}).ok());
   }
-  // TableJoinSwapBuild(a, b) builds over a and probes b, then re-merges
-  // into the canonical a-first schema — the streaming probe side is b.
-  const BindingTable drained = TableJoinSwapBuild(a, b, /*parallelism=*/1);
+  // Build over a, stream b: the rows and order of TableJoin(b, a), in the
+  // canonical a-first schema with a's provenance on the shared column.
+  const BindingTable drained = SwappedJoin(a, b);
+  ASSERT_EQ(drained.ColumnGraph("y"), "ga");
   for (size_t chunk_rows : {3, 50, 100000}) {
     ExpectSameRowsAndOrder(StreamJoin(b, a, /*swap_output=*/true,
                                       chunk_rows),
@@ -347,28 +330,36 @@ TEST(TableLeftOuterJoin, MultipleMatchesMultiplyRows) {
   EXPECT_EQ(TableLeftOuterJoin(a, b).NumRows(), 2u);
 }
 
-// Parameterized algebraic law: ⟕ = ⋈ ∪ ∖ (the defining identity).
+// Parameterized algebraic law: ⟕ = ⋈ ∪ ∖ (the defining identity), pinned
+// row for row and in order: the one-pass kernel against the composition
+// written out.
 class OuterJoinLaw : public ::testing::TestWithParam<int> {};
 
 TEST_P(OuterJoinLaw, DefinitionHolds) {
-  const int seed = GetParam();
-  auto rnd_table = [&](int salt) {
-    BindingTable t({"x", "y"});
-    for (int i = 0; i < 6; ++i) {
-      const uint64_t vx = static_cast<uint64_t>((seed * 7 + salt * 3 + i) % 4);
-      const uint64_t vy = static_cast<uint64_t>((seed * 5 + salt + i * 2) % 4);
-      EXPECT_TRUE(t.AddRow({N(vx + 1), N(vy + 1)}).ok());
-    }
-    t.Deduplicate();
-    return t;
-  };
-  BindingTable a = rnd_table(1);
-  BindingTable b = rnd_table(2);
-  BindingTable lhs = TableLeftOuterJoin(a, b);
-  BindingTable rhs = TableUnion(TableJoin(a, b), TableAntijoin(a, b));
-  lhs.Deduplicate();
-  rhs.Deduplicate();
-  EXPECT_EQ(lhs.NumRows(), rhs.NumRows());
+  const uint64_t seed = static_cast<uint64_t>(GetParam());
+  // a(x, y) ⟕ b(y, z) over a small y domain, so one left row matches
+  // several right rows. Row 0 of a leaves y unbound (it matches every b
+  // row); y = 999 matches nothing unless b has a wildcard row, which the
+  // even seeds add.
+  BindingTable a({"x", "y"});
+  BindingTable b({"y", "z"});
+  for (uint64_t i = 0; i < 8; ++i) {
+    const Datum ay = i == 0   ? Datum()
+                     : i == 1 ? N(999)
+                              : N(100 + (seed * 5 + i * 3) % 5);
+    ASSERT_TRUE(a.AddRow({N(1 + (seed * 7 + i) % 6), ay}).ok());
+    const Datum by =
+        seed % 2 == 0 && i == seed % 8 ? Datum() : N(100 + (seed * 3 + i) % 4);
+    ASSERT_TRUE(b.AddRow({by, N(200 + (seed + i * 2) % 5)}).ok());
+  }
+  const BindingTable lhs = TableLeftOuterJoin(a, b);
+  const BindingTable rhs =
+      TableUnion(TableJoin(a, b), TableAntijoin(a, b));
+  ExpectSameRowsAndOrder(lhs, rhs);
+  EXPECT_GT(lhs.NumRows(), a.NumRows());  // multi-match rows
+  if (seed % 2 == 1) {
+    EXPECT_FALSE(TableAntijoin(a, b).Empty());  // the ∖ side is exercised
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OuterJoinLaw, ::testing::Range(0, 8));

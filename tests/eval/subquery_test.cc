@@ -103,6 +103,25 @@ class SubqueryTest : public ::testing::Test {
     }
   }
 
+  /// "x has an interest", restricted by hand: a disjunction naming the
+  /// first names of the persons with a hasInterest edge.
+  std::string InterestedByHand() {
+    const BindingTable interested =
+        Bindings("MATCH (x:Person)-[:hasInterest]->()");
+    const PathPropertyGraph* graph = *catalog.Lookup("social_graph");
+    std::string by_hand;
+    for (size_t r = 0; r < interested.NumRows(); ++r) {
+      const ValueSet& name =
+          graph->Property(interested.Get(r, "x").node(), "firstName");
+      EXPECT_TRUE(name.is_singleton());
+      if (!name.is_singleton()) continue;
+      by_hand += (by_hand.empty() ? "" : " OR ") +
+                 std::string("x.firstName = '") + name.single().AsString() +
+                 "'";
+    }
+    return by_hand;
+  }
+
   GraphCatalog catalog;
 
  private:
@@ -239,17 +258,7 @@ TEST_F(SubqueryTest, PathViewWhereExists) {
   // answers EXISTS and pattern predicates: the view keeps the knows
   // segments whose x has an interest. Restricted by hand, that is a WHERE
   // naming those persons.
-  const BindingTable interested =
-      Bindings("MATCH (x:Person)-[:hasInterest]->()");
-  const PathPropertyGraph* graph = *catalog.Lookup("social_graph");
-  std::string by_hand;
-  for (size_t r = 0; r < interested.NumRows(); ++r) {
-    const ValueSet& name =
-        graph->Property(interested.Get(r, "x").node(), "firstName");
-    ASSERT_TRUE(name.is_singleton());
-    by_hand += (by_hand.empty() ? "" : " OR ") + std::string("x.firstName = '") +
-               name.single().AsString() + "'";
-  }
+  const std::string by_hand = InterestedByHand();
   ASSERT_FALSE(by_hand.empty());
 
   // (n, m) endpoint pairs of the constructed reachability graph.
@@ -282,6 +291,48 @@ TEST_F(SubqueryTest, PathViewWhereExists) {
               expected);
     EXPECT_EQ(reach(" WHERE (x)-[:hasInterest]->()", config), expected);
     EXPECT_EQ(reach(" WHERE " + by_hand, config), expected);
+  }
+}
+
+TEST_F(SubqueryTest, PathViewCostSubquery) {
+  // COST runs on the view's matcher too, so a pattern predicate or EXISTS
+  // may price a segment: a knows segment costs 1 when its x has an
+  // interest, else 2. Priced by hand, that is the same CASE over a
+  // condition naming those persons.
+  const std::string by_hand = InterestedByHand();
+  ASSERT_FALSE(by_hand.empty());
+
+  // (n, m, cost) of every weighted shortest walk over the view.
+  auto costs = [&](const std::string& cond, const Config& config) {
+    Rows rows;
+    auto result = Run("PATH w = (x)-[:knows]->(y) COST CASE WHEN " + cond +
+                          " THEN 1 ELSE 2 END "
+                          "SELECT n.firstName AS n, m.firstName AS m, c "
+                          "MATCH (n:Person)-/p<~w*> COST c/->(m:Person)",
+                      config);
+    EXPECT_TRUE(result.ok()) << cond << ": " << result.status().ToString();
+    if (!result.ok() || !result->IsTable()) return rows;
+    for (const auto& row : result->table->rows()) {
+      std::vector<std::string> cells;
+      for (const Value& v : row) cells.push_back(v.ToString());
+      rows.insert(cells);
+    }
+    return rows;
+  };
+  const Rows expected = costs(by_hand, kConfigs[0]);
+  // Both prices occur: the condition bites.
+  const Rows all_one = costs("true", kConfigs[0]);
+  const Rows all_two = costs("false", kConfigs[0]);
+  ASSERT_FALSE(expected.empty());
+  ASSERT_NE(expected, all_one);
+  ASSERT_NE(expected, all_two);
+  for (const Config& config : kConfigs) {
+    SCOPED_TRACE(ConfigName(config));
+    EXPECT_EQ(costs("(x)-[:hasInterest]->()", config), expected);
+    EXPECT_EQ(costs("EXISTS ( CONSTRUCT () MATCH (x)-[:hasInterest]->() )",
+                    config),
+              expected);
+    EXPECT_EQ(costs(by_hand, config), expected);
   }
 }
 

@@ -74,7 +74,6 @@ void ExpectRoundTrips(const PathPropertyGraph& g, const std::string& tag) {
   auto loaded = LoadSnapshotFile(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_TRUE(SameBytes((*loaded)->arena(), frozen.arena()));
-  EXPECT_FALSE((*loaded)->has_graph());  // no PPG until BindGraph
 
   auto mapped = MmapSnapshotFile(path, /*verify_checksum=*/true);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
@@ -282,7 +281,6 @@ TEST(SnapshotIo, CatalogServesLoadedSnapshotByteIdentically) {
     // request must hand back an attached snapshot without freezing.
     auto cached = served.Snapshot("social_graph");
     ASSERT_TRUE(cached.ok());
-    EXPECT_TRUE((*cached)->has_graph());
     EXPECT_EQ((*cached)->num_nodes(), (*snap)->num_nodes());
 
     // Loaded ids are reserved: fresh allocations never collide.

@@ -1,16 +1,16 @@
 // Differential suite for the parallel/batched path kernels: every kernel
 // must be *result-identical* to its serial executable spec at parallelism
 // 1 / 2 / 8 —
-//   DeltaSsspFrom        ≡ DijkstraFrom   (distances, parents, edges),
-//   DeltaKSsspFrom       ≡ KSsspHeapFrom  (k-cheapest cost multisets),
 //   BatchedReachableFrom ≡ ReachableFrom per source (incl. >64 sources,
 //                          so the 64-lane wave split is exercised),
 //   IsReachable (bidirectional) ≡ membership in the full fixpoint,
-//   ViewStarSssp         ≡ the product Dijkstra on `~view*`.
-// Weight fixtures draw from {1, 2} so equal-distance ties are common and
-// the canonical (parent, edge) tiebreak is actually exercised; the
-// engine-level suite (tests/plan/parallel_test.cc) pins tables and path
-// ids on top, and this file adds the 1-row-morsel degree sweep.
+//   ViewStarSssp         ≡ the product Dijkstra on `~view*`,
+//   BatchedKShortestFrom ≡ KShortestPathsFrom per source.
+// Every kernel reads a GraphSnapshot frozen from the fixture graph, as in
+// the engine. View costs draw from {1, 2, 3} so equal-distance ties are
+// common; the engine-level suite (tests/plan/parallel_test.cc) pins
+// tables and path ids on top, and this file adds the 1-row-morsel degree
+// sweep.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,9 +18,9 @@
 
 #include "eval/matcher.h"
 #include "parser/parser.h"
+#include "graph/snapshot.h"
 #include "paths/batched_bfs.h"
 #include "paths/delta_stepping.h"
-#include "paths/dijkstra.h"
 #include "paths/k_shortest.h"
 #include "paths/product_bfs.h"
 #include "snb/toy_graphs.h"
@@ -30,10 +30,10 @@ namespace {
 
 /// Deterministic pseudo-random multigraph: `nodes` nodes, `edges` edges
 /// labeled "a", endpoints from an LCG. Dense enough for shortcut-induced
-/// distance ties.
+/// distance ties. Freeze() snapshots it once the fixture is complete.
 struct RandomGraph {
   PathPropertyGraph g;
-  std::unique_ptr<AdjacencyIndex> adj;
+  std::unique_ptr<GraphSnapshot> snap;
   size_t num_nodes;
 
   RandomGraph(size_t nodes, size_t edges) : num_nodes(nodes) {
@@ -51,15 +51,18 @@ struct RandomGraph {
       if (!g.AddEdge(id, NodeId(s), NodeId(d)).ok()) std::abort();
       g.AddLabel(id, "a");
     }
-    adj = std::make_unique<AdjacencyIndex>(g);
+  }
+
+  void Freeze() { snap = std::make_unique<GraphSnapshot>(g); }
+  const AdjacencyIndex& adj() const { return snap->adjacency(); }
+
+  PathSearchContext Ctx(const Nfa* nfa) const {
+    PathSearchContext ctx;
+    ctx.snap = snap.get();
+    ctx.nfa = nfa;
+    return ctx;
   }
 };
-
-/// Weights from {1.0, 2.0} keyed on edge id — plenty of equal-distance
-/// ties, so the canonical tiebreak decides many parents.
-std::optional<double> TieWeight(EdgeId edge, bool) {
-  return edge.value() % 2 == 0 ? 1.0 : 2.0;
-}
 
 Nfa CompileRegex(const std::string& text) {
   auto r = ParseRpq(text);
@@ -67,102 +70,13 @@ Nfa CompileRegex(const std::string& text) {
   return Nfa::Compile(**r);
 }
 
-void ExpectSameSssp(const SsspResult& want, const SsspResult& got,
-                    const std::string& label) {
-  EXPECT_EQ(want.distance, got.distance) << label;
-  EXPECT_EQ(want.parent, got.parent) << label;
-  ASSERT_EQ(want.parent_edge.size(), got.parent_edge.size()) << label;
-  for (size_t n = 0; n < want.parent_edge.size(); ++n) {
-    EXPECT_EQ(want.parent_edge[n], got.parent_edge[n])
-        << label << " parent_edge of dense node " << n;
-  }
-}
-
-TEST(DeltaStepping, MatchesDijkstraWithTies) {
-  RandomGraph rg(180, 700);
-  auto want = DijkstraFrom(*rg.adj, NodeId(1), TieWeight);
-  ASSERT_TRUE(want.ok()) << want.status().ToString();
-
-  const DenseEdgeWeightFn weight = WrapWeightFn(TieWeight);
-  for (size_t parallelism : {size_t{1}, size_t{2}, size_t{8}}) {
-    for (double delta : {0.0, 0.5, 1.0, 10.0}) {
-      ParallelSsspOptions opts;
-      opts.parallelism = parallelism;
-      opts.delta = delta;
-      opts.serial_cutoff = 0;  // force the bucketed kernel
-      auto got = DeltaSsspFrom(*rg.adj, NodeId(1), weight, opts);
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      ExpectSameSssp(*want, *got,
-                     "parallelism " + std::to_string(parallelism) +
-                         " delta " + std::to_string(delta));
-    }
-  }
-}
-
-TEST(DeltaStepping, MatchesDijkstraUndirected) {
-  RandomGraph rg(120, 360);
-  auto want = DijkstraFrom(*rg.adj, NodeId(7), TieWeight,
-                           /*follow_forward=*/true, /*follow_backward=*/true);
-  ASSERT_TRUE(want.ok()) << want.status().ToString();
-  ParallelSsspOptions opts;
-  opts.parallelism = 8;
-  opts.serial_cutoff = 0;
-  auto got = DeltaSsspFrom(*rg.adj, NodeId(7), WrapWeightFn(TieWeight), opts,
-                           /*follow_forward=*/true, /*follow_backward=*/true);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  ExpectSameSssp(*want, *got, "undirected");
-}
-
-TEST(DeltaStepping, SerialCutoffFallbackIdentical) {
-  // Below the cutoff the heap runs; both routes must agree anyway.
-  RandomGraph rg(60, 150);
-  ParallelSsspOptions bucketed;
-  bucketed.serial_cutoff = 0;
-  ParallelSsspOptions heap;
-  heap.serial_cutoff = 1u << 20;
-  const DenseEdgeWeightFn weight = WrapWeightFn(TieWeight);
-  auto a = DeltaSsspFrom(*rg.adj, NodeId(3), weight, bucketed);
-  auto b = DeltaSsspFrom(*rg.adj, NodeId(3), weight, heap);
-  ASSERT_TRUE(a.ok() && b.ok());
-  ExpectSameSssp(*a, *b, "cutoff");
-}
-
-TEST(DeltaStepping, NegativeWeightRejected) {
-  RandomGraph rg(20, 40);
-  auto negative = [](const AdjacencyEntry&) {
-    return std::optional<double>(-1.0);
-  };
-  ParallelSsspOptions opts;
-  opts.serial_cutoff = 0;
-  EXPECT_FALSE(DeltaSsspFrom(*rg.adj, NodeId(1), negative, opts).ok());
-}
-
-TEST(KSssp, DeltaMatchesHeap) {
-  RandomGraph rg(100, 400);
-  const DenseEdgeWeightFn weight = WrapWeightFn(TieWeight);
-  for (size_t k : {size_t{1}, size_t{3}, size_t{4}}) {
-    auto want = KSsspHeapFrom(*rg.adj, NodeId(1), weight, k);
-    ASSERT_TRUE(want.ok()) << want.status().ToString();
-    for (size_t parallelism : {size_t{1}, size_t{2}, size_t{8}}) {
-      ParallelSsspOptions opts;
-      opts.parallelism = parallelism;
-      opts.serial_cutoff = 0;
-      auto got = DeltaKSsspFrom(*rg.adj, NodeId(1), weight, k, opts);
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      EXPECT_EQ(*want, *got)
-          << "k " << k << " parallelism " << parallelism;
-    }
-  }
-}
-
 TEST(BatchedReachability, MatchesPerSourceAcrossWaveSplit) {
   // 100 sources > 64 forces two waves; every lane must equal the
   // single-source fixpoint.
   RandomGraph rg(100, 300);
+  rg.Freeze();
   Nfa nfa = CompileRegex(":a*");
-  PathSearchContext ctx;
-  ctx.adj = rg.adj.get();
-  ctx.nfa = &nfa;
+  PathSearchContext ctx = rg.Ctx(&nfa);
 
   std::vector<NodeId> sources;
   for (uint64_t i = 1; i <= rg.num_nodes; ++i) sources.push_back(NodeId(i));
@@ -206,12 +120,11 @@ struct ViewFixture {
     });
     views.Register(std::move(rel));
     rg.g.AddLabel(NodeId(5), "Hub");
+    rg.Freeze();
   }
 
   PathSearchContext Ctx(const Nfa* nfa) {
-    PathSearchContext ctx;
-    ctx.adj = rg.adj.get();
-    ctx.nfa = nfa;
+    PathSearchContext ctx = rg.Ctx(nfa);
     ctx.views = &views;
     return ctx;
   }
@@ -281,13 +194,14 @@ TEST(ViewStarSssp, MatchesProductDijkstraOnTree) {
   add_seg(3, 6, 4.0);
   add_seg(4, 7, 2.0);
   add_seg(5, 8, 0.75);
-  AdjacencyIndex adj(g);
+  const GraphSnapshot snap(g);
+  const AdjacencyIndex& adj = snap.adjacency();
   PathViewRegistry views;
   views.Register(std::move(rel));
 
   Nfa nfa = CompileRegex("~w*");
   PathSearchContext ctx;
-  ctx.adj = &adj;
+  ctx.snap = &snap;
   ctx.nfa = &nfa;
   ctx.views = &views;
   auto want = KShortestPathsFrom(ctx, NodeId(1), 1);
@@ -296,9 +210,7 @@ TEST(ViewStarSssp, MatchesProductDijkstraOnTree) {
   auto lookup = views.Lookup("w");
   ASSERT_TRUE(lookup.ok());
   for (size_t parallelism : {size_t{1}, size_t{2}, size_t{8}}) {
-    ParallelSsspOptions opts;
-    opts.parallelism = parallelism;
-    auto sssp = ViewStarSssp(adj, **lookup, NodeId(1), opts);
+    auto sssp = ViewStarSssp(adj, **lookup, NodeId(1), parallelism);
     ASSERT_TRUE(sssp.ok()) << sssp.status().ToString();
     size_t reached = 0;
     for (size_t n = 0; n < adj.num_nodes(); ++n) {
@@ -332,16 +244,14 @@ TEST(ViewStarSssp, MatchesProductDijkstraCostsWithTies) {
   for (uint64_t s = 1; s <= f.rg.num_nodes; s += 7) {
     auto want = KShortestPathsFrom(ctx, NodeId(s), 1);
     ASSERT_TRUE(want.ok()) << want.status().ToString();
-    ParallelSsspOptions opts;
-    opts.parallelism = 4;
-    auto sssp = ViewStarSssp(*f.rg.adj, **lookup, NodeId(s), opts);
+    auto sssp = ViewStarSssp(f.rg.adj(), **lookup, NodeId(s), 4);
     ASSERT_TRUE(sssp.ok()) << sssp.status().ToString();
     size_t reached = 0;
-    for (size_t n = 0; n < f.rg.adj->num_nodes(); ++n) {
+    for (size_t n = 0; n < f.rg.adj().num_nodes(); ++n) {
       const DenseNodeIndex dn = static_cast<DenseNodeIndex>(n);
       if (!sssp->Reached(dn)) continue;
       ++reached;
-      const NodeId dst = f.rg.adj->IdOf(dn);
+      const NodeId dst = f.rg.adj().IdOf(dn);
       auto it = want->find(dst);
       ASSERT_NE(it, want->end());
       EXPECT_EQ(sssp->distance[dn], it->second.front().cost)
@@ -353,10 +263,9 @@ TEST(ViewStarSssp, MatchesProductDijkstraCostsWithTies) {
 
 TEST(BatchedKShortest, MatchesPerSource) {
   RandomGraph rg(60, 200);
+  rg.Freeze();
   Nfa nfa = CompileRegex(":a*");
-  PathSearchContext ctx;
-  ctx.adj = rg.adj.get();
-  ctx.nfa = &nfa;
+  PathSearchContext ctx = rg.Ctx(&nfa);
   std::vector<NodeId> sources;
   for (uint64_t i = 1; i <= rg.num_nodes; i += 3) sources.push_back(NodeId(i));
   for (size_t parallelism : {size_t{1}, size_t{8}}) {

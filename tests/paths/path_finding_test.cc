@@ -1,9 +1,11 @@
 // Tests for the product-automaton path machinery: reachability, (k-)
 // shortest conforming walks, weighted PATH views, ALL-paths projection,
-// and the plain BFS/Dijkstra substrate.
+// and the plain BFS oracle. Every search runs over a GraphSnapshot frozen
+// from the test graph, as in the engine.
 #include <gtest/gtest.h>
 
 #include "graph/graph_builder.h"
+#include "graph/snapshot.h"
 #include "parser/parser.h"
 #include "paths/all_paths.h"
 #include "paths/dijkstra.h"
@@ -19,7 +21,7 @@ namespace {
 //   4 -a-> 5,   3 -c-> 5
 struct TestGraph {
   PathPropertyGraph g;
-  std::unique_ptr<AdjacencyIndex> adj;
+  std::unique_ptr<GraphSnapshot> snap;
 
   TestGraph() {
     for (uint64_t i = 1; i <= 5; ++i) g.AddNode(NodeId(i));
@@ -30,7 +32,7 @@ struct TestGraph {
     add_edge(14, 4, 5, "a");
     add_edge(15, 3, 5, "c");
     g.AddLabel(NodeId(3), "Hub");
-    adj = std::make_unique<AdjacencyIndex>(g);
+    snap = std::make_unique<GraphSnapshot>(g);
   }
 
   void add_edge(uint64_t id, uint64_t s, uint64_t d, const char* label) {
@@ -41,7 +43,7 @@ struct TestGraph {
   PathSearchContext Ctx(const Nfa* nfa,
                         const PathViewRegistry* views = nullptr) const {
     PathSearchContext ctx;
-    ctx.adj = adj.get();
+    ctx.snap = snap.get();
     ctx.nfa = nfa;
     ctx.views = views;
     return ctx;
@@ -233,6 +235,103 @@ TEST(KShortest, DeterministicAcrossRuns) {
   }
 }
 
+// --- walk reconstruction -------------------------------------------------------
+
+// Parallel edges, a self loop and a view segment, for pinning the bodies
+// the product search reconstructs (each edge step takes its endpoint from
+// the node its label reached):
+//   20, 21: 1 -a-> 2 (parallel)   22: 2 -a-> 2 (self loop)
+//   23: 3 -b-> 2                  24: 2 -a-> 3
+//   view w: one segment 3 ~> 2 over edge 23, cost 0.5
+struct WalkGraph {
+  PathPropertyGraph g;
+  std::unique_ptr<GraphSnapshot> snap;
+  PathViewRegistry views;
+
+  WalkGraph() {
+    for (uint64_t i = 1; i <= 3; ++i) g.AddNode(NodeId(i));
+    add_edge(20, 1, 2, "a");
+    add_edge(21, 1, 2, "a");
+    add_edge(22, 2, 2, "a");
+    add_edge(23, 3, 2, "b");
+    add_edge(24, 2, 3, "a");
+    snap = std::make_unique<GraphSnapshot>(g);
+    PathViewRelation rel("w");
+    PathViewSegment seg;
+    seg.src = NodeId(3);
+    seg.dst = NodeId(2);
+    seg.cost = 0.5;
+    seg.body.nodes = {NodeId(3), NodeId(2)};
+    seg.body.edges = {EdgeId(23)};
+    EXPECT_TRUE(rel.AddSegment(std::move(seg)).ok());
+    views.Register(std::move(rel));
+  }
+
+  void add_edge(uint64_t id, uint64_t s, uint64_t d, const char* label) {
+    ASSERT_TRUE(g.AddEdge(EdgeId(id), NodeId(s), NodeId(d)).ok());
+    g.AddLabel(EdgeId(id), label);
+  }
+
+  /// dst -> the bodies found, each rendered as "n e n e n ..." ids.
+  std::map<uint64_t, std::vector<std::string>> Walks(const char* regex,
+                                                     uint64_t src, size_t k) {
+    Nfa nfa = CompileRegex(regex);
+    PathSearchContext ctx;
+    ctx.snap = snap.get();
+    ctx.nfa = &nfa;
+    ctx.views = &views;
+    auto found = KShortestPathsFrom(ctx, NodeId(src), k);
+    EXPECT_TRUE(found.ok()) << found.status().ToString();
+    std::map<uint64_t, std::vector<std::string>> out;
+    if (!found.ok()) return out;
+    for (const auto& [dst, paths] : *found) {
+      for (const FoundPath& p : paths) {
+        EXPECT_EQ(p.body.nodes.size(), p.body.edges.size() + 1);
+        std::string walk = std::to_string(p.body.nodes[0].value());
+        for (size_t i = 0; i < p.body.edges.size(); ++i) {
+          walk += " " + std::to_string(p.body.edges[i].value()) + " " +
+                  std::to_string(p.body.nodes[i + 1].value());
+        }
+        out[dst.value()].push_back(walk);
+      }
+    }
+    return out;
+  }
+};
+
+using WalkMap = std::map<uint64_t, std::vector<std::string>>;
+
+TEST(Reconstruct, StarredInverseEdge) {
+  WalkGraph w;
+  // Against edge direction: from 3 back over 24 to 2, then back over the
+  // parallel pair or the self loop.
+  EXPECT_EQ(w.Walks("(:a-)*", 3, 1),
+            (WalkMap{{1, {"3 24 2 20 1"}}, {2, {"3 24 2"}}, {3, {"3"}}}));
+  EXPECT_EQ(w.Walks("(:a-)*", 3, 3),
+            (WalkMap{{1, {"3 24 2 20 1", "3 24 2 21 1", "3 24 2 22 2 20 1"}},
+                     {2, {"3 24 2", "3 24 2 22 2", "3 24 2 22 2 22 2"}},
+                     {3, {"3"}}}));
+}
+
+TEST(Reconstruct, AnyEdgeOverSelfLoopAndParallelEdges) {
+  WalkGraph w;
+  EXPECT_EQ(w.Walks("_*", 1, 1),
+            (WalkMap{{1, {"1"}}, {2, {"1 20 2"}}, {3, {"1 20 2 24 3"}}}));
+  EXPECT_EQ(w.Walks("_*", 1, 3),
+            (WalkMap{{1, {"1", "1 20 2 20 1", "1 20 2 21 1"}},
+                     {2, {"1 20 2", "1 21 2", "1 20 2 22 2"}},
+                     {3, {"1 20 2 24 3", "1 20 2 23 3", "1 21 2 24 3"}}}));
+}
+
+TEST(Reconstruct, ViewSegmentThenInverseEdge) {
+  WalkGraph w;
+  EXPECT_EQ(w.Walks("~w :a-", 3, 1),
+            (WalkMap{{1, {"3 23 2 20 1"}}, {2, {"3 23 2 22 2"}}}));
+  EXPECT_EQ(w.Walks("~w :a-", 3, 3),
+            (WalkMap{{1, {"3 23 2 20 1", "3 23 2 21 1"}},
+                     {2, {"3 23 2 22 2"}}}));
+}
+
 // --- weighted view traversal --------------------------------------------------
 
 TEST(WeightedViews, DijkstraOverSegments) {
@@ -316,57 +415,15 @@ TEST(AllPaths, EmptyWhenUnreachable) {
   EXPECT_TRUE(proj->Empty());
 }
 
-// --- plain BFS / Dijkstra substrate -----------------------------------------------
+// --- plain BFS oracle ----------------------------------------------------------
 
 TEST(Sssp, BfsHopCounts) {
   TestGraph t;
-  SsspResult r = BfsFrom(*t.adj, NodeId(1));
-  EXPECT_EQ(r.distance[t.adj->IndexOf(NodeId(1))], 0.0);
-  EXPECT_EQ(r.distance[t.adj->IndexOf(NodeId(4))], 1.0);
-  EXPECT_EQ(r.distance[t.adj->IndexOf(NodeId(5))], 2.0);
-}
-
-TEST(Sssp, DijkstraWithWeights) {
-  TestGraph t;
-  auto weight = [&](EdgeId e, bool) -> std::optional<double> {
-    return e == EdgeId(13) ? 10.0 : 1.0;  // make the shortcut expensive
-  };
-  auto r = DijkstraFrom(*t.adj, NodeId(1), weight);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->distance[t.adj->IndexOf(NodeId(4))], 3.0);
-}
-
-TEST(Sssp, DijkstraRejectsNegativeWeights) {
-  TestGraph t;
-  auto weight = [](EdgeId, bool) -> std::optional<double> { return -1.0; };
-  EXPECT_FALSE(DijkstraFrom(*t.adj, NodeId(1), weight).ok());
-}
-
-TEST(Sssp, WeightFilterBlocksEdges) {
-  TestGraph t;
-  auto weight = [&](EdgeId e, bool) -> std::optional<double> {
-    if (!t.g.Labels(e).Contains("a")) return std::nullopt;
-    return 1.0;
-  };
-  auto r = DijkstraFrom(*t.adj, NodeId(1), weight);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->distance[t.adj->IndexOf(NodeId(4))], 3.0);  // not via b
-}
-
-TEST(Sssp, ReconstructWalk) {
-  TestGraph t;
-  SsspResult r = BfsFrom(*t.adj, NodeId(1));
-  auto walk = ReconstructWalk(*t.adj, r, NodeId(1), NodeId(5));
-  ASSERT_TRUE(walk.has_value());
-  EXPECT_EQ(walk->nodes.front(), NodeId(1));
-  EXPECT_EQ(walk->nodes.back(), NodeId(5));
-  EXPECT_EQ(walk->edges.size(), 2u);
-}
-
-TEST(Sssp, UnreachableReconstructIsNull) {
-  TestGraph t;
-  SsspResult r = BfsFrom(*t.adj, NodeId(5));  // forward only: 5 is a sink
-  EXPECT_FALSE(ReconstructWalk(*t.adj, r, NodeId(5), NodeId(1)).has_value());
+  const AdjacencyIndex& adj = t.snap->adjacency();
+  SsspResult r = BfsFrom(adj, NodeId(1));
+  EXPECT_EQ(r.distance[adj.IndexOf(NodeId(1))], 0.0);
+  EXPECT_EQ(r.distance[adj.IndexOf(NodeId(4))], 1.0);
+  EXPECT_EQ(r.distance[adj.IndexOf(NodeId(5))], 2.0);
 }
 
 // Parameterized consistency: for unit costs, the product search over `_*`
@@ -391,10 +448,11 @@ TEST_P(ProductVsBfs, WildcardStarMatchesBfsHops) {
     Status st = g.AddEdge(EdgeId(1000 + i), a, b);
     (void)st;
   }
-  AdjacencyIndex adj(g);
+  const GraphSnapshot snap(g);
+  const AdjacencyIndex& adj = snap.adjacency();
   Nfa nfa = CompileRegex("_*");
   PathSearchContext ctx;
-  ctx.adj = &adj;
+  ctx.snap = &snap;
   ctx.nfa = &nfa;
 
   // `_*` crosses edges in both directions; mirror that in the BFS.

@@ -3,7 +3,7 @@
 // parallelism degree (1 = the serial differential mode, then real worker
 // pools). Morsels are shrunk to a few rows so the toy graphs actually
 // exercise multi-morsel execution, and a chain-join stress loop hammers
-// the worker pool + partitioned join (run under TSAN to check the
+// the worker pool + streaming join (run under TSAN to check the
 // synchronization).
 #include <gtest/gtest.h>
 
@@ -227,7 +227,7 @@ TEST_F(ParallelExecution, PathSearchIdsDeterministicUnderFilter) {
 }
 
 // A 4-chain join at degree 8 on 1-row morsels, repeated: the worker
-// pool + ordered reassembly + partitioned join must give a stable
+// pool + ordered reassembly + streaming join must give a stable
 // result every iteration (TSAN-friendly stress).
 TEST_F(ParallelExecution, ChainJoinStress) {
   auto parsed = ParseQuery(

@@ -473,10 +473,21 @@ TEST_F(BuildSideTest, SkewedJoinMarksSwapBuildAndPreservesResults) {
   EXPECT_EQ(Canonical(*swapped), Canonical(*plain));
 }
 
-// --- parallel left outer join ------------------------------------------------
+// --- left outer join and swapped build --------------------------------------
+
+void ExpectSameRowsAndOrder(const BindingTable& got,
+                            const BindingTable& want) {
+  ASSERT_EQ(got.NumRows(), want.NumRows());
+  ASSERT_EQ(got.columns(), want.columns());
+  EXPECT_EQ(got.column_graphs(), want.column_graphs());
+  for (size_t r = 0; r < want.NumRows(); ++r) {
+    ASSERT_EQ(got.Row(r), want.Row(r)) << "row " << r;
+  }
+}
 
 TEST(ParallelLeftOuterJoinTest, MatchesSerialCompositionExactly) {
-  // Tables with matching and non-matching rows and a heavy shared column.
+  // Tables with matching, multi-matching and non-matching rows, a heavy
+  // shared column, and one left row whose shared cell is unbound.
   BindingTable a({"x", "y"});
   BindingTable b({"y", "z"});
   for (uint64_t i = 0; i < 64; ++i) {
@@ -484,23 +495,21 @@ TEST(ParallelLeftOuterJoinTest, MatchesSerialCompositionExactly) {
                           Datum::OfNode(NodeId(1000 + i % 8))});
     ASSERT_TRUE(st.ok());
   }
-  for (uint64_t j = 0; j < 5; ++j) {
-    Status st = b.AddRow({Datum::OfNode(NodeId(1000 + j)),
+  ASSERT_TRUE(a.AddRow({Datum::OfNode(NodeId(64)), Datum()}).ok());
+  for (uint64_t j = 0; j < 10; ++j) {
+    Status st = b.AddRow({Datum::OfNode(NodeId(1000 + j % 5)),
                           Datum::OfNode(NodeId(2000 + j))});
     ASSERT_TRUE(st.ok());
   }
-  const BindingTable serial = TableLeftOuterJoin(a, b);
-  EXPECT_FALSE(serial.Empty());
-  for (size_t parallelism : {size_t{1}, size_t{2}, size_t{8}}) {
-    const BindingTable parallel =
-        TableLeftOuterJoinParallel(a, b, parallelism, /*morsel_rows=*/4);
-    EXPECT_EQ(parallel.ToString(), serial.ToString())
-        << "parallelism=" << parallelism;
-  }
+  const BindingTable outer = TableLeftOuterJoin(a, b);
+  EXPECT_FALSE(TableAntijoin(a, b).Empty());
+  ExpectSameRowsAndOrder(outer,
+                         TableUnion(TableJoin(a, b), TableAntijoin(a, b)));
 }
 
-// TableJoinSwapBuild produces the same set as TableJoin with canonical
-// schema and provenance (only row order may differ).
+// The swapped build (PlanNode::swap_build) yields TableJoin(b, a) — build
+// over a, probe b — with its columns moved into the schema and provenance
+// of TableJoin(a, b).
 TEST(SwapBuildJoinTest, CanonicalSchemaAndSameRowSet) {
   BindingTable a({"x", "y"});
   a.SetColumnGraph("x", "ga");
@@ -519,12 +528,23 @@ TEST(SwapBuildJoinTest, CanonicalSchemaAndSameRowSet) {
     ASSERT_TRUE(st.ok());
   }
   const BindingTable plain = TableJoin(a, b);
-  const BindingTable swapped = TableJoinSwapBuild(a, b, 2, 4);
-  EXPECT_EQ(swapped.columns(), plain.columns());
-  EXPECT_EQ(swapped.ColumnGraph("y"), plain.ColumnGraph("y"));
-  EXPECT_EQ(swapped.ColumnGraph("z"), plain.ColumnGraph("z"));
+  const BindingTable reverse = TableJoin(b, a);
+  BindingTable want(plain.columns());
+  for (const auto& [var, graph] : plain.column_graphs()) {
+    want.SetColumnGraph(var, graph);
+  }
+  std::vector<size_t> kept;
+  for (const auto& col : plain.columns()) {
+    kept.push_back(reverse.ColumnIndex(col));
+  }
+  want.AdoptProjectedColumns(reverse, kept);
+
+  StreamingJoinProbe stream(a, /*swap_output=*/true);
+  stream.Probe(b);
+  const BindingTable swapped = stream.Finish();
+  ExpectSameRowsAndOrder(swapped, want);
+  EXPECT_EQ(swapped.ColumnGraph("y"), "ga");
   EXPECT_EQ(Canonical(swapped), Canonical(plain));
-  EXPECT_EQ(swapped.NumRows(), plain.NumRows());
 }
 
 }  // namespace

@@ -130,12 +130,12 @@ class PathInvariants : public ::testing::TestWithParam<uint64_t> {
     options.seed = GetParam();
     options.num_persons = 150;
     graph_ = snb::Generate(options, &ids_);
-    adj_ = std::make_unique<AdjacencyIndex>(graph_);
+    snap_ = std::make_unique<GraphSnapshot>(graph_);
   }
 
   PathSearchContext Ctx(const Nfa* nfa) const {
     PathSearchContext ctx;
-    ctx.adj = adj_.get();
+    ctx.snap = snap_.get();
     ctx.nfa = nfa;
     return ctx;
   }
@@ -152,7 +152,7 @@ class PathInvariants : public ::testing::TestWithParam<uint64_t> {
 
   IdAllocator ids_;
   PathPropertyGraph graph_;
-  std::unique_ptr<AdjacencyIndex> adj_;
+  std::unique_ptr<GraphSnapshot> snap_;
 };
 
 TEST_P(PathInvariants, ShortestPathExistsIffReachable) {
